@@ -17,6 +17,9 @@
 //! process is in so consumers can distinguish "no allocations" from "no
 //! ledger".
 
+// The ledger's job is per-thread counters no allocation can disturb.
+#![allow(clippy::disallowed_types, clippy::disallowed_macros)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

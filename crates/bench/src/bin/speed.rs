@@ -5,6 +5,8 @@
     clippy::indexing_slicing,
     clippy::panic
 )]
+// Wall-clock throughput is the quantity this bench measures.
+#![allow(clippy::disallowed_methods)]
 
 //! **Speed baseline** — simulator throughput and allocation pressure
 //! (DESIGN.md §16).

@@ -40,6 +40,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The live runtime runs on real clocks and is nondeterministic by design.
+#![allow(clippy::disallowed_methods)]
 #![warn(rust_2018_idioms)]
 
 pub mod error;

@@ -1,14 +1,11 @@
-//! The stage/executor state split (DESIGN.md §20).
+//! The per-server state split (DESIGN.md §20).
 //!
-//! Concurrency-readiness for ROADMAP item 2: everything a server step
-//! may mutate lives in its own [`StatefulContext`]; everything shared
-//! across the fleet lives in the read-only [`StatelessContext`]. A
-//! server function receives its own context plus the shared one and
-//! expresses every cross-server effect as returned [`Outgoing`] values
-//! that only the deterministic calendar dispatch in `system.rs` may
-//! apply. The `isolation` xtask pass enforces the discipline statically;
-//! the compile-time `Send + Sync` assertions below prove both halves
-//! are shippable across threads once a parallel executor exists.
+//! Everything a server step may mutate lives in its own
+//! [`StatefulContext`]; everything shared across the fleet lives in the
+//! read-only [`StatelessContext`]. A server function receives its own
+//! context plus the shared one and expresses every cross-server effect
+//! as returned [`Outgoing`](crate::server::Outgoing) values that the
+//! calendar dispatch in `system.rs` applies.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -23,8 +20,8 @@ use crate::server::ServerState;
 
 /// Per-server mutable state: the protocol state machine plus the
 /// queueing-station bookkeeping the substrate keeps for it. Exactly one
-/// per server; nothing in here is ever touched on behalf of another
-/// server outside the dispatch regions of `system.rs`.
+/// per server; only the calendar dispatch in `system.rs` touches it on
+/// behalf of another server.
 #[derive(Debug)]
 pub struct StatefulContext {
     /// The protocol state machine (owned records, replicas, leases,
@@ -68,17 +65,3 @@ pub struct StatelessContext {
     /// these; the per-context `speed` is the same value).
     pub(crate) speeds: Arc<[f64]>,
 }
-
-/// Compile-time proof that a type can cross threads: the parallel
-/// executor (ROADMAP item 2) moves contexts and messages between
-/// worker threads, so a non-`Send + Sync` field sneaking into either
-/// context half must fail the build, not the first multi-core run.
-pub(crate) const fn assert_send_sync<T: Send + Sync>() {}
-
-const _: () = {
-    assert_send_sync::<StatefulContext>();
-    assert_send_sync::<StatelessContext>();
-    assert_send_sync::<Message>();
-    assert_send_sync::<crate::server::Outgoing>();
-    assert_send_sync::<crate::server::ProtocolEvent>();
-};

@@ -81,7 +81,6 @@ pub use config::{
     LeaseConfig, PartitionConfig, ReconcileConfig, RepairConfig, RetryConfig, RoleConfig,
     ScenarioConfig, ScenarioEvent, ServerClass, StorageConfig, TenantConfig, TenantSpec,
 };
-pub use context::{StatefulContext, StatelessContext};
 pub use map::NodeMap;
 pub use messages::{Message, QueryPacket};
 pub use meta::Meta;

@@ -209,6 +209,8 @@ impl NodeMap {
     clippy::indexing_slicing,
     clippy::panic
 )]
+// Test-only tallies in std hash containers; no simulated run reads them.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

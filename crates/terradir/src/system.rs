@@ -121,9 +121,8 @@ fn exp_draw<R: rand::RngCore>(rng: &mut R, mean: f64) -> f64 {
 /// State is split per DESIGN.md §20: `shared` is the fleet-wide
 /// read-only half ([`StatelessContext`]), `ctxs` holds one mutable
 /// [`StatefulContext`] per server, and everything else is the
-/// deterministic calendar/dispatch layer — the only code allowed to
-/// touch more than one server's context (the `isolation` xtask pass
-/// enforces that boundary statically).
+/// deterministic calendar/dispatch layer, which applies the effects a
+/// server emits in calendar order.
 pub struct System {
     /// Fleet-wide read-only state (namespace, config, assignment,
     /// role/tenant maps, speed table).
@@ -151,25 +150,6 @@ pub struct System {
     injecting: bool,
     /// Outstanding queries under the retry layer, by query id.
     pending: crate::det::DetHashMap<u64, Pending>,
-    /// Shadow-exec permutation seed (DESIGN.md §20): when set, the
-    /// compute half of every same-timestep per-server sweep
-    /// (maintenance, utilization rolls, gossip peer-pool builds) steps
-    /// servers in a deterministic pseudo-random order instead of id
-    /// order, while effects still apply in id order. The replay test
-    /// asserts byte-identical summaries either way — the exact
-    /// order-independence a parallel executor needs.
-    shadow_seed: Option<u64>,
-    /// Per-run counter of permuted sweeps, mixed into the permutation
-    /// so each sweep uses a different order.
-    shadow_rounds: u64,
-    /// Reusable sweep-order scratch buffer.
-    perm_buf: Vec<u32>,
-    /// Reusable per-server maintenance effect buffers (phase 2 of the
-    /// Maintain sweep drains them in canonical id order).
-    maint_bufs: Vec<Vec<Outgoing>>,
-    /// Reusable per-server gossip peer-pool buffers (phase 2 of the
-    /// gossip sweep shuffles/truncates/sends in canonical id order).
-    gossip_peer_bufs: Vec<Vec<ServerId>>,
     /// Reachability group of each server (`id mod partitions.n_groups`).
     group_of: Vec<u32>,
     /// Active partition cut: each server's side of the relation. `None`
@@ -201,17 +181,14 @@ pub struct System {
     repair_cursor: u32,
     /// Reusable object-payload scratch for gossip pushes and pull replies.
     gossip_objects: Vec<(NodeId, crate::storage::StoredObject)>,
+    /// Reusable candidate-peer buffer for the gossip round.
+    gossip_peers: Vec<ServerId>,
     /// Reusable changed-node snapshot for the hybrid culture's eager push
     /// (taken before the digest reseal clears per-node change tracking).
     gossip_changed: Vec<NodeId>,
     /// Reusable key-rendering buffer for pull selection.
     gossip_key_buf: String,
 }
-
-/// Event types cross threads with the parallel executor's calendar, so
-/// they must be `Send + Sync` too (`Event` is private, so the assertion
-/// lives here rather than in `context.rs`).
-const _: () = crate::context::assert_send_sync::<Event>();
 
 impl System {
     /// Builds a system over the namespace with the given configuration,
@@ -428,8 +405,7 @@ impl System {
         }
         let groups = cfg.partitions.n_groups.max(1);
         // Zip the per-server pieces into one StatefulContext each
-        // (DESIGN.md §20): from here on, only the dispatch regions of
-        // this file may reach into another server's context.
+        // (DESIGN.md §20).
         // xtask: allow(alloc): construction, runs once per run
         let ctxs: Vec<StatefulContext> = servers
             .into_iter()
@@ -478,64 +454,18 @@ impl System {
             out_buf: Vec::new(),
             injecting: true,
             pending: crate::det::DetHashMap::default(),
-            shadow_seed: None,
-            shadow_rounds: 0,
-            perm_buf: Vec::new(),
-            // xtask: allow(alloc): construction, runs once per run
-            maint_bufs: (0..n).map(|_| Vec::new()).collect(),
-            // xtask: allow(alloc): construction, runs once per run
-            gossip_peer_bufs: (0..n).map(|_| Vec::new()).collect(),
             committed,
             reads: crate::det::DetHashMap::default(),
             next_read_id: 0,
             store_targets,
             repair_cursor: 0,
             gossip_objects: Vec::new(),
+            gossip_peers: Vec::new(),
             gossip_changed: Vec::new(),
             gossip_key_buf: String::new(),
         };
         sys.sync_draw_ledger();
         sys
-    }
-
-    /// Enables (`Some(seed)`) or disables (`None`) shadow-exec sweep
-    /// permutation (DESIGN.md §20). With a seed set, every same-timestep
-    /// per-server compute sweep runs in a deterministic pseudo-random
-    /// order derived from the seed and a per-run sweep counter; effects
-    /// still apply in canonical id order, so a run's observable output
-    /// must be byte-identical to the unpermuted run. The permutation
-    /// draws no tagged randomness, so the RNG draw ledger is untouched.
-    pub fn set_shadow_permutation(&mut self, seed: Option<u64>) {
-        self.shadow_seed = seed;
-    }
-
-    /// The order the next per-server compute sweep steps servers in:
-    /// identity without a shadow seed, a Fisher–Yates permutation of a
-    /// private splitmix64 stream with one. Returns the reusable order
-    /// buffer; callers hand it back by reassigning `perm_buf`.
-    fn sweep_order(&mut self, n: usize) -> Vec<u32> {
-        let mut order = std::mem::take(&mut self.perm_buf);
-        order.clear();
-        order.extend(0..n as u32);
-        if let Some(seed) = self.shadow_seed {
-            self.shadow_rounds += 1;
-            // splitmix64 over (seed, sweep index): deterministic,
-            // ledger-free, and different every sweep.
-            let mut state = seed ^ self.shadow_rounds.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut next = move || {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
-            };
-            for i in (1..order.len()).rev() {
-                #[allow(clippy::cast_possible_truncation)]
-                let j = (next() % (i as u64 + 1)) as usize;
-                order.swap(i, j);
-            }
-        }
-        order
     }
 
     /// Draws normalized per-server speed factors (log-uniform in
@@ -647,7 +577,6 @@ impl System {
     /// paper's resiliency argument relies on ("hosting servers for nodes
     /// with failed replicas will incur more load after failure … and will
     /// replicate again").
-    // xtask: region(dispatch): begin — churn executor: crash/recovery must drain and reset the victim's context
     pub fn fail_server(&mut self, id: ServerId) {
         let i = id.index();
         let now = self.engine.now();
@@ -715,7 +644,6 @@ impl System {
         self.try_start(id);
         self.warm_rejoin_push(id);
     }
-    // xtask: region(dispatch): end
 
     /// Churn process, failure side: fail the server and arm its recovery
     /// timer. Failures are suppressed once the churn window closed, and
@@ -1312,26 +1240,31 @@ impl System {
             .schedule_in(self.shared.cfg.gossip.interval, Event::GossipRound);
         let culture = self.shared.cfg.gossip.culture;
         let n = self.ctxs.len();
-        // Phase 1 — compute (order-independent): every live server
-        // builds its candidate peer pool from its own state and the
-        // frozen fleet snapshot, into its own buffer. No RNG, no
-        // mutation of any context, so the shadow-exec permutation may
-        // step this sweep in any order.
-        let order = self.sweep_order(n);
-        let mut peer_bufs = std::mem::take(&mut self.gossip_peer_bufs);
-        for &oi in &order {
-            let i = oi as usize;
-            let Some(peers) = peer_bufs.get_mut(i) else {
-                continue;
-            };
-            peers.clear();
+        // One pass in id order: the shuffle draws from the shared fault
+        // stream and the sends schedule calendar events, so the order is
+        // pinned for byte-identical replay.
+        let mut peers = std::mem::take(&mut self.gossip_peers);
+        for i in 0..n {
             let Some(ctx) = self.ctxs.get(i) else {
                 continue;
             };
             if ctx.failed {
                 continue;
             }
-            let id = ServerId(oi);
+            let id = ServerId(i as u32);
+            // A server that has never sealed a digest (first round ever,
+            // or just recovered from a soft-state wipe) has everything to
+            // re-learn: its round becomes a *recovery burst* that
+            // contacts the whole candidate pool instead of `fanout` of
+            // it, so every object it backs is re-pulled within one
+            // interval instead of one interval per pool/fanout chunk.
+            // Steady-state rounds are untouched.
+            // (Chatty never seals a digest, so only the post-reset flag
+            // can burst it — its ordinary rounds already push full state.)
+            let burst = ctx.server.gossip.all_changed
+                || (!matches!(culture, GossipCulture::Chatty)
+                    && ctx.server.gossip.digest.is_none());
+            peers.clear();
             for node in ctx.server.owned_ids() {
                 for nb in self.shared.ns.neighbors(node) {
                     let owner = self.shared.assignment.owner(nb);
@@ -1382,42 +1315,13 @@ impl System {
             if let Some(roles) = self.shared.roles.as_deref() {
                 peers.retain(|&p| roles.gossip_compatible(id, p));
             }
-        }
-        // Phase 2 — apply (canonical id order): the per-server shuffle
-        // draws from the shared fault stream and the sends schedule
-        // calendar events, so this half must run in id order for
-        // byte-identical replay.
-        // xtask: region(dispatch): begin — gossip apply phase: shuffles and sends drain every server's peer pool
-        for i in 0..n {
-            if self.ctxs.get(i).is_none_or(|c| c.failed) {
-                continue;
-            }
-            let id = ServerId(i as u32);
-            // A server that has never sealed a digest (first round ever,
-            // or just recovered from a soft-state wipe) has everything to
-            // re-learn: its round becomes a *recovery burst* that
-            // contacts the whole candidate pool instead of `fanout` of
-            // it, so every object it backs is re-pulled within one
-            // interval instead of one interval per pool/fanout chunk.
-            // Steady-state rounds are untouched.
-            // (Chatty never seals a digest, so only the post-reset flag
-            // can burst it — its ordinary rounds already push full state.)
-            let burst = self.ctxs.get(i).is_some_and(|c| {
-                c.server.gossip.all_changed
-                    || (!matches!(culture, GossipCulture::Chatty)
-                        && c.server.gossip.digest.is_none())
-            });
-            let Some(slot) = peer_bufs.get_mut(i) else {
-                continue;
-            };
-            slot.shuffle(&mut self.rng_faults);
+            peers.shuffle(&mut self.rng_faults);
             if !burst {
-                slot.truncate(self.shared.cfg.gossip.fanout as usize);
+                peers.truncate(self.shared.cfg.gossip.fanout as usize);
             }
-            if slot.is_empty() {
+            if peers.is_empty() {
                 continue;
             }
-            let peers = std::mem::take(slot);
             match culture {
                 GossipCulture::Chatty => {
                     self.gossip_push(id, &peers, None);
@@ -1453,13 +1357,8 @@ impl System {
                     self.gossip_changed = changed;
                 }
             }
-            if let Some(slot) = peer_bufs.get_mut(i) {
-                *slot = peers;
-            }
         }
-        // xtask: region(dispatch): end
-        self.gossip_peer_bufs = peer_bufs;
-        self.perm_buf = order;
+        self.gossip_peers = peers;
     }
 
     /// Ships `id`'s current windowed digest to each round peer, tagging
@@ -1468,7 +1367,6 @@ impl System {
     /// either way; only its charged bytes differ (O(changed) in steady
     /// state, the full filter after a reset or for a first contact).
     fn gossip_send_digest(&mut self, id: ServerId, peers: &[ServerId]) {
-        // xtask: region(dispatch): begin — gossip send helper: the digest snapshot and per-peer generation stamps mutate the sender's own context
         let digest = match self.ctxs.get_mut(id.index()) {
             Some(c) => c.server.gossip_digest(),
             None => return,
@@ -1479,7 +1377,6 @@ impl System {
                 Some(c) => c.server.gossip.note_sent(peer, gen),
                 None => None,
             };
-            // xtask: region(dispatch): end
             let msg = Message::GossipDigest {
                 from: id,
                 // xtask: allow(alloc): Arc-backed digest clone, O(1) per peer
@@ -1984,63 +1881,32 @@ impl System {
             Event::StoreRepair => self.store_repair(),
             Event::StoreReadDone { id } => self.finish_read(id),
             Event::GossipRound => self.gossip_round(),
-            // xtask: region(dispatch): begin — periodic sweeps: maintenance/sampling step every server's context
             Event::Maintain => {
                 let now = self.engine.now();
-                let n = self.ctxs.len();
-                // Phase 1 — compute (order-independent): each live
-                // server's maintenance touches only its own context and
-                // draws no randomness, writing its effects into its own
-                // buffer. The shadow-exec permutation may step this
-                // sweep in any order.
-                let order = self.sweep_order(n);
-                let mut bufs = std::mem::take(&mut self.maint_bufs);
-                for &oi in &order {
-                    let i = oi as usize;
+                // Id order: dispatch draws loss/jitter randomness and
+                // schedules calendar events, so the order is pinned for
+                // byte-identical replay.
+                for i in 0..self.ctxs.len() {
                     let Some(ctx) = self.ctxs.get_mut(i) else {
                         continue;
                     };
                     if ctx.failed {
                         continue;
                     }
-                    let Some(buf) = bufs.get_mut(i) else {
-                        continue;
-                    };
-                    debug_assert!(buf.is_empty());
-                    ctx.server.maintenance(now, buf);
+                    ctx.server.maintenance(now, &mut self.out_buf);
+                    self.dispatch(ServerId(i as u32));
                 }
-                // Phase 2 — apply (canonical id order): dispatch draws
-                // loss/jitter randomness and schedules calendar events,
-                // so effects apply in id order for byte-identical replay.
-                for i in 0..n {
-                    let Some(buf) = bufs.get_mut(i) else {
-                        continue;
-                    };
-                    self.dispatch_effects(ServerId(i as u32), buf);
-                }
-                self.maint_bufs = bufs;
-                self.perm_buf = order;
                 self.engine
                     .schedule_in(self.shared.cfg.load_window, Event::Maintain);
             }
             Event::Sample => {
                 let now = self.engine.now();
-                let n = self.ctxs.len();
-                // Phase 1 — compute: each meter rolls its own window
-                // (no RNG, own context only), in shadow-permutable order.
-                let order = self.sweep_order(n);
-                for &oi in &order {
-                    if let Some(ctx) = self.ctxs.get_mut(oi as usize) {
-                        ctx.util.roll(now);
-                    }
-                }
-                self.perm_buf = order;
-                // Phase 2 — accumulate in canonical id order: float
-                // addition is not associative, so the reduction order is
-                // pinned regardless of the sweep permutation.
+                // Id order: float addition is not associative, so the
+                // reduction order is pinned.
                 let mut sum = 0.0;
                 let mut max = 0.0f64;
-                for ctx in &self.ctxs {
+                for ctx in &mut self.ctxs {
+                    ctx.util.roll(now);
                     let v = ctx.util.measured();
                     sum += v;
                     max = max.max(v);
@@ -2060,7 +1926,7 @@ impl System {
                     );
                 }
                 self.engine.schedule_in(1.0, Event::Sample);
-            } // xtask: region(dispatch): end
+            }
         }
     }
 
@@ -2277,7 +2143,6 @@ impl System {
                 );
             }
         }
-        // xtask: region(dispatch): begin — queueing executor: admission, service start/finish act on the target's context
         let Some(ctx) = self.ctxs.get_mut(to.index()) else {
             return;
         };
@@ -2407,7 +2272,6 @@ impl System {
         self.dispatch(s);
         self.try_start(s);
     }
-    // xtask: region(dispatch): end
 
     /// Interprets the effects a server emitted.
     /// Deterministic wire-byte accounting (DESIGN.md §18): every message
@@ -2426,18 +2290,13 @@ impl System {
         }
     }
 
+    /// Applies the effects `from` left in `out_buf`, draining it in place
+    /// so the buffer keeps its capacity across events.
     fn dispatch(&mut self, from: ServerId) {
         let mut effects = std::mem::take(&mut self.out_buf);
-        self.dispatch_effects(from, &mut effects);
-        self.out_buf = effects;
-    }
-
-    /// Applies a drained effect buffer (the buffer keeps its capacity —
-    /// the Maintain sweep and `dispatch` reuse theirs every round).
-    fn dispatch_effects(&mut self, from: ServerId, effects: &mut Vec<Outgoing>) {
         let now = self.engine.now();
         if cfg!(debug_assertions) {
-            self.audit_outgoing(from, effects);
+            self.audit_outgoing(from, &effects);
         }
         for o in effects.drain(..) {
             match o {
@@ -2496,6 +2355,7 @@ impl System {
                 Outgoing::Event(e) => self.on_protocol_event(now, from, e),
             }
         }
+        self.out_buf = effects;
     }
 
     fn on_protocol_event(&mut self, now: f64, at: ServerId, e: ProtocolEvent) {

@@ -328,6 +328,8 @@ impl QueryStream {
     clippy::indexing_slicing,
     clippy::panic
 )]
+// Test-only tallies in std hash containers; no simulated run reads them.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use std::collections::HashMap;

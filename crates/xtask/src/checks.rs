@@ -5,7 +5,7 @@
 //! violations — without touching the real tree. `main.rs` wires the checks
 //! to the actual workspace files.
 
-use crate::lexer::{cfg_test_ranges, line_of, out_of_line_test_modules, scrub};
+use crate::lexer::{line_of, out_of_line_test_modules, scrub};
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,47 +22,6 @@ impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}:{}: {}", self.file, self.line, self.what)
     }
-}
-
-/// Tokens forbidden in library code outside `#[cfg(test)]` modules.
-///
-/// `unreachable!` and `assert!` are deliberately absent: the lint wall
-/// allows them for documented can't-happen invariants, and the auditor
-/// mirrors the wall exactly.
-const FORBIDDEN: &[&str] = &[
-    ".unwrap()",
-    ".expect(",
-    "panic!",
-    "todo!(",
-    "unimplemented!(",
-];
-
-/// Scans one library source file for panic-capable tokens outside
-/// `#[cfg(test)]` modules.
-pub fn check_no_panics(file_label: &str, src: &str) -> Vec<Violation> {
-    let scrubbed = scrub(src);
-    let exempt = cfg_test_ranges(&scrubbed);
-    let mut out = Vec::new();
-    for token in FORBIDDEN {
-        let mut search = 0;
-        while let Some(rel) = scrubbed.get(search..).and_then(|s| s.find(token)) {
-            let pos = search + rel;
-            search = pos + 1;
-            if exempt.iter().any(|&(lo, hi)| pos >= lo && pos < hi) {
-                continue;
-            }
-            // `.expect(` must not fire on `.expect_err(` (none in tree, but
-            // fixtures may use it); `.unwrap()` is exact so `unwrap_or` is
-            // already excluded.
-            out.push(Violation {
-                file: file_label.to_string(),
-                line: line_of(src, pos),
-                what: format!("forbidden `{token}` outside #[cfg(test)]"),
-            });
-        }
-    }
-    out.sort_by(|a, b| a.line.cmp(&b.line).then(a.what.cmp(&b.what)));
-    out
 }
 
 /// Module names a crate declares as out-of-line `#[cfg(test)]` modules;
@@ -359,68 +318,6 @@ pub fn check_message_handlers(messages_src: &str, server_src: &str) -> Vec<Viola
 )]
 mod tests {
     use super::*;
-
-    // ---- panic scanner -------------------------------------------------
-
-    const CLEAN_LIB: &str = r#"
-pub fn safe(v: &[u32]) -> u32 {
-    // .unwrap() in a comment is fine
-    let s = "panic! in a string is fine";
-    let _ = s;
-    v.first().copied().unwrap_or(0)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() {
-        super::safe(&[]);
-        let x: Option<u32> = Some(1);
-        x.unwrap();
-        panic!("allowed in tests");
-    }
-}
-"#;
-
-    #[test]
-    fn clean_library_passes_panic_scan() {
-        assert!(check_no_panics("clean.rs", CLEAN_LIB).is_empty());
-    }
-
-    #[test]
-    fn seeded_unwrap_is_caught() {
-        // The deliberately seeded violation of the acceptance criteria:
-        // an `.unwrap()` smuggled into library code must be flagged.
-        let seeded = "pub fn bad(v: Option<u32>) -> u32 { v.unwrap() }\n";
-        let vs = check_no_panics("seeded.rs", seeded);
-        assert_eq!(vs.len(), 1);
-        assert_eq!(vs[0].line, 1);
-        assert!(vs[0].what.contains(".unwrap()"));
-    }
-
-    #[test]
-    fn seeded_panic_and_expect_are_caught() {
-        let seeded =
-            "pub fn a() { panic!(\"boom\") }\npub fn b(v: Option<u8>) { v.expect(\"x\"); }\n";
-        let vs = check_no_panics("seeded.rs", seeded);
-        assert_eq!(vs.len(), 2);
-        assert_eq!(vs[0].line, 1);
-        assert_eq!(vs[1].line, 2);
-    }
-
-    #[test]
-    fn unwrap_or_variants_do_not_trip_the_scanner() {
-        let src = "pub fn f(v: Option<u32>) -> u32 { v.unwrap_or(0).max(v.unwrap_or_default()) }\n";
-        assert!(check_no_panics("f.rs", src).is_empty());
-    }
-
-    #[test]
-    fn violation_after_test_module_is_still_caught() {
-        let src = "#[cfg(test)]\nmod tests { fn t() { panic!(); } }\npub fn bad() { panic!() }\n";
-        let vs = check_no_panics("f.rs", src);
-        assert_eq!(vs.len(), 1);
-        assert_eq!(vs[0].line, 3);
-    }
 
     // ---- config docs ---------------------------------------------------
 

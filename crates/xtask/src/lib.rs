@@ -19,20 +19,19 @@
 //! Two families of rules:
 //!
 //! - the original protocol-invariant checks ([`checks`]): config docs,
-//!   panic-free library code, message handlers, drop taxonomy;
-//! - the determinism & accounting passes ([`analyze`]): determinism lint,
-//!   counter conservation, dead config, enum exhaustiveness
-//!   (DESIGN.md §15).
+//!   message handlers, drop taxonomy;
+//! - the accounting passes ([`analyze`]): counter conservation, dead
+//!   config, enum exhaustiveness, hot-path allocations (DESIGN.md §15).
+//!
+//! Source bans clippy can express (panics in library code, ambient
+//! nondeterminism, shared mutability) are not re-implemented here: they
+//! live in the workspace lints and the root `clippy.toml`.
 
 use std::path::{Path, PathBuf};
 
 pub mod analyze;
 pub mod checks;
 pub mod lexer;
-
-/// Library crates under the panic wall. Binaries (`cli`, `bench`, `xtask`
-/// itself) opt out: aborting is their correct failure mode.
-pub const LIB_CRATES: &[&str] = &["namespace", "bloom", "workload", "sim", "terradir", "net"];
 
 /// The workspace root, resolved from this crate's manifest directory
 /// (`crates/xtask` → two levels up).

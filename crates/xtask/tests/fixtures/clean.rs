@@ -1,8 +1,5 @@
-// Fixture: behavior code that every pass must accept — deterministic
-// constructs only, a fully conserved counter, a live knob, and an
-// exhaustively consumed enum. Tokens that look like violations appear
-// only inside comments and strings, which scrubbing blanks:
-// Instant::now, thread_rng, HashMap::new, .unwrap(), panic!.
+// Fixture: behavior code that every pass must accept — a fully
+// conserved counter, a live knob, and an exhaustively consumed enum.
 pub struct RunStats {
     /// Fed below, mirrored in Summary, documented in the fixture table.
     pub injected: u64,

@@ -40,7 +40,7 @@ fn main() {
         let st = sys.stats();
         // Identify the currently hottest node by global host count growth:
         // count hosts of the most-replicated node.
-        let mut host_counts = std::collections::HashMap::new();
+        let mut host_counts = std::collections::BTreeMap::new();
         for s in sys.servers() {
             for n in s.replica_ids() {
                 *host_counts.entry(n).or_insert(1usize) += 1;

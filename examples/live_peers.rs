@@ -5,6 +5,8 @@
     clippy::indexing_slicing,
     clippy::panic
 )]
+// A live fleet runs on real time: the example waits on a wall-clock deadline.
+#![allow(clippy::disallowed_methods)]
 
 //! Live deployment: the same protocol state machines running as real OS
 //! threads connected by channels, with injected queries resolving across
