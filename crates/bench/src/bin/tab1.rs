@@ -92,7 +92,7 @@ fn main() {
     servers[cache_server.index()].handle_message(
         0.1,
         Message::QueryResult {
-            packet,
+            packet: Box::new(packet),
             resolved_by: ServerId(0),
             meta: terradir::Meta::new(),
             children: Vec::new(),

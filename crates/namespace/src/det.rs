@@ -26,11 +26,6 @@ pub type DetHashMap<K, V> = std::collections::HashMap<K, V, DetBuildHasher>;
 /// `HashSet` with instance-independent iteration order.
 pub type DetHashSet<T> = std::collections::HashSet<T, DetBuildHasher>;
 
-/// A `DetHashMap` with reserved capacity.
-pub fn det_map_with_capacity<K, V>(capacity: usize) -> DetHashMap<K, V> {
-    DetHashMap::with_capacity_and_hasher(capacity, DetBuildHasher::default())
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {

@@ -123,13 +123,13 @@ pub(crate) fn run_peer(h: PeerHarness) {
             }
             Some(PeerCommand::Inject { id, target }) => {
                 let packet = QueryPacket::new(id, state.id(), target, now);
-                state.handle_message(now, Message::Query(packet), &mut rng, &mut out);
+                state.handle_message(now, Message::Query(Box::new(packet)), &mut rng, &mut out);
                 state.maybe_start_session(now, &mut rng, &mut out);
             }
             Some(PeerCommand::InjectList { id, target }) => {
                 let mut packet = QueryPacket::new(id, state.id(), target, now);
                 packet.kind = QueryKind::List;
-                state.handle_message(now, Message::Query(packet), &mut rng, &mut out);
+                state.handle_message(now, Message::Query(Box::new(packet)), &mut rng, &mut out);
                 state.maybe_start_session(now, &mut rng, &mut out);
             }
             Some(PeerCommand::AddLoadBias(delta)) => {

@@ -152,7 +152,7 @@ mod tests {
     use terradir::{NodeId, QueryPacket};
 
     fn query_msg(id: u64) -> Message {
-        Message::Query(QueryPacket::new(id, ServerId(0), NodeId(1), 0.0))
+        Message::Query(Box::new(QueryPacket::new(id, ServerId(0), NodeId(1), 0.0)))
     }
 
     #[test]

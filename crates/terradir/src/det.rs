@@ -6,4 +6,4 @@
 //! every protocol-layer caller (and the determinism lint's allowlist)
 //! refers to.
 
-pub use terradir_namespace::det::{det_map_with_capacity, DetBuildHasher, DetHashMap, DetHashSet};
+pub use terradir_namespace::det::{DetBuildHasher, DetHashMap, DetHashSet};

@@ -66,7 +66,7 @@ pub struct QueryPacket {
     pub prev_hop: Option<ServerId>,
     /// The last few servers this packet visited (loop damping: selection
     /// prefers hosts not in this ring). Bounded to [`RECENT_HOPS`].
-    pub recent: Vec<ServerId>,
+    pub recent: RecentHops,
     /// Whether any hop of this attempt landed on a server that did not
     /// host the node it was routed via (pure observation, set regardless
     /// of configuration; feeds the reconvergence curve, DESIGN.md §14).
@@ -78,6 +78,71 @@ pub struct QueryPacket {
 
 /// How many recently visited servers a packet remembers for loop damping.
 pub const RECENT_HOPS: usize = 4;
+
+/// The last [`RECENT_HOPS`] servers a packet visited, oldest first.
+///
+/// Stored inline rather than in a `Vec`, so forwarding a packet never
+/// touches the allocator for its loop-damping ring.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct RecentHops {
+    ids: [ServerId; RECENT_HOPS],
+    len: u8,
+}
+
+impl RecentHops {
+    /// An empty ring.
+    pub const fn new() -> RecentHops {
+        RecentHops {
+            ids: [ServerId(0); RECENT_HOPS],
+            len: 0,
+        }
+    }
+
+    /// Appends a server, dropping the oldest entry when full.
+    pub fn push(&mut self, server: ServerId) {
+        let len = usize::from(self.len);
+        if len < RECENT_HOPS {
+            if let Some(slot) = self.ids.get_mut(len) {
+                *slot = server;
+            }
+            self.len += 1;
+        } else {
+            self.ids.rotate_left(1);
+            if let Some(last) = self.ids.last_mut() {
+                *last = server;
+            }
+        }
+    }
+
+    /// The live entries, oldest first.
+    pub fn as_slice(&self) -> &[ServerId] {
+        self.ids.get(..usize::from(self.len)).unwrap_or_default()
+    }
+
+    /// Number of live entries (at most [`RECENT_HOPS`]).
+    pub fn len(&self) -> usize {
+        usize::from(self.len)
+    }
+
+    /// Whether no server has been recorded yet.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl Default for RecentHops {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Prints only the live entries, so trace lines list just the servers
+/// visited.
+impl std::fmt::Debug for RecentHops {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
 
 impl QueryPacket {
     /// A fresh query issued at `origin` for `target` at time `now`.
@@ -94,7 +159,7 @@ impl QueryPacket {
             sender_digest: None,
             intended_via: None,
             prev_hop: None,
-            recent: Vec::new(),
+            recent: RecentHops::new(),
             misrouted: false,
             detour_hops: 0,
         }
@@ -102,9 +167,6 @@ impl QueryPacket {
 
     /// Records a visited server in the bounded recent-hop ring.
     pub fn push_recent(&mut self, server: ServerId) {
-        if self.recent.len() >= RECENT_HOPS {
-            self.recent.remove(0);
-        }
         self.recent.push(server);
     }
 
@@ -142,15 +204,20 @@ pub struct ReplicaPayload {
 }
 
 /// All TerraDir protocol messages.
+///
+/// The packet is boxed because it is far larger than any other variant,
+/// and every queue slot and calendar entry is as large as the largest
+/// variant. The box is allocated once per attempt and moves from hop to
+/// hop, ending as the result.
 #[derive(Debug, Clone)]
 pub enum Message {
     /// A lookup being routed.
-    Query(QueryPacket),
+    Query(Box<QueryPacket>),
     /// A resolved lookup returning to its origin. Carries the full
     /// propagated path (including the resolved target's map) for caching.
     QueryResult {
         /// The resolved query.
-        packet: QueryPacket,
+        packet: Box<QueryPacket>,
         /// Host that resolved it.
         resolved_by: ServerId,
         /// Meta-data returned by the resolving host — the lookup result
@@ -350,6 +417,10 @@ pub enum Message {
         objects: Vec<(NodeId, crate::storage::StoredObject)>,
     },
 }
+
+// Queue slots and calendar entries take the size of the largest variant:
+// a new large variant must be boxed, not silently triple queue memory.
+const _: () = assert!(std::mem::size_of::<Message>() <= 64);
 
 /// Modeled bytes of a message envelope: type tag, addressing, and ids
 /// (DESIGN.md §18's wire-size model).
@@ -570,15 +641,15 @@ mod tests {
 
     #[test]
     fn traffic_classification() {
-        assert!(Message::Query(pkt()).is_query_traffic());
-        assert!(!Message::Query(pkt()).is_control());
+        assert!(Message::Query(Box::new(pkt())).is_query_traffic());
+        assert!(!Message::Query(Box::new(pkt())).is_control());
         let probe = Message::LoadProbe {
             from: ServerId(0),
             load: 0.9,
         };
         assert!(probe.is_control());
         let res = Message::QueryResult {
-            packet: pkt(),
+            packet: Box::new(pkt()),
             resolved_by: ServerId(1),
             meta: crate::meta::Meta::new(),
             children: Vec::new(),
@@ -621,11 +692,14 @@ mod tests {
     #[test]
     fn sender_extraction() {
         let mut p = pkt();
-        assert_eq!(Message::Query(p.clone()).sender(), None);
+        assert_eq!(Message::Query(Box::new(p.clone())).sender(), None);
         p.prev_hop = Some(ServerId(3));
-        assert_eq!(Message::Query(p.clone()).sender(), Some(ServerId(3)));
+        assert_eq!(
+            Message::Query(Box::new(p.clone())).sender(),
+            Some(ServerId(3))
+        );
         let res = Message::QueryResult {
-            packet: p,
+            packet: Box::new(p),
             resolved_by: ServerId(1),
             meta: crate::meta::Meta::new(),
             children: Vec::new(),
@@ -748,10 +822,10 @@ mod tests {
         assert!(Message::HostDown { host: ServerId(1) }.wire_bytes() >= 16);
         // More path entries cost more bytes.
         let mut p = pkt();
-        let small = Message::Query(p.clone()).wire_bytes();
+        let small = Message::Query(Box::new(p.clone())).wire_bytes();
         p.push_path(NodeId(1), NodeMap::singleton(ServerId(1)), 8);
         p.push_path(NodeId(2), NodeMap::singleton(ServerId(2)), 8);
-        assert!(Message::Query(p).wire_bytes() > small);
+        assert!(Message::Query(Box::new(p)).wire_bytes() > small);
         // More objects cost more bytes.
         let one = Message::GossipReply {
             from: ServerId(0),

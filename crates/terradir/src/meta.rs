@@ -15,10 +15,14 @@ use std::sync::Arc;
 /// Cheap to clone (`Arc` inside) — meta rides on every lookup result and
 /// replica payload. Mutation goes through the owner-side
 /// [`Meta::set_attr`], which copies on write and bumps the version.
+/// Most nodes carry no attributes, so an empty map is held as `None` and
+/// costs no allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Meta {
     version: u64,
-    attrs: Arc<BTreeMap<String, String>>,
+    /// `None` exactly when there are no attributes, which keeps the
+    /// derived equality by content.
+    attrs: Option<Arc<BTreeMap<String, String>>>,
 }
 
 impl Meta {
@@ -26,7 +30,7 @@ impl Meta {
     pub fn new() -> Meta {
         Meta {
             version: 0,
-            attrs: Arc::new(BTreeMap::new()),
+            attrs: None,
         }
     }
 
@@ -38,39 +42,52 @@ impl Meta {
 
     /// Reads an attribute.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.attrs.get(key).map(std::string::String::as_str)
+        self.attrs
+            .as_ref()
+            .and_then(|a| a.get(key))
+            .map(String::as_str)
     }
 
     /// Number of attributes.
     pub fn len(&self) -> usize {
-        self.attrs.len()
+        self.attrs.as_ref().map_or(0, |a| a.len())
     }
 
     /// Whether there are no attributes.
     pub fn is_empty(&self) -> bool {
-        self.attrs.is_empty()
+        self.attrs.is_none()
     }
 
     /// Iterates attributes in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.attrs.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+        self.attrs
+            .iter()
+            .flat_map(|a| a.iter())
+            .map(|(k, v)| (k.as_str(), v.as_str()))
     }
 
     /// Owner-side mutation: sets an attribute and bumps the version.
     /// Copy-on-write, so outstanding clones (in-flight results, replicas)
     /// are unaffected.
     pub fn set_attr(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        Arc::make_mut(&mut self.attrs).insert(key.into(), value.into());
+        Arc::make_mut(self.attrs.get_or_insert_with(Arc::default)).insert(key.into(), value.into());
         self.version += 1;
     }
 
     /// Owner-side mutation: removes an attribute and bumps the version.
     pub fn remove_attr(&mut self, key: &str) -> bool {
-        let removed = Arc::make_mut(&mut self.attrs).remove(key).is_some();
-        if removed {
-            self.version += 1;
+        let Some(attrs) = self.attrs.as_mut() else {
+            return false;
+        };
+        let map = Arc::make_mut(attrs);
+        if map.remove(key).is_none() {
+            return false;
         }
-        removed
+        if map.is_empty() {
+            self.attrs = None;
+        }
+        self.version += 1;
+        true
     }
 
     /// Adopts `incoming` if it is strictly newer ("replicas will keep the
@@ -129,6 +146,25 @@ mod tests {
         assert_eq!(m.version(), 2);
         assert!(!m.remove_attr("a"));
         assert_eq!(m.version(), 2);
+    }
+
+    #[test]
+    fn emptied_meta_equals_one_that_never_had_attributes() {
+        let mut m = Meta::new();
+        m.set_attr("a", "1");
+        assert!(m.remove_attr("a"));
+        assert!(m.is_empty());
+        assert_eq!(m.iter().count(), 0);
+        assert_eq!(
+            m,
+            Meta {
+                version: m.version(),
+                ..Meta::new()
+            }
+        );
+        // A miss on an empty meta changes nothing.
+        assert!(!Meta::new().remove_attr("a"));
+        assert_eq!(Meta::new(), Meta::default());
     }
 
     #[test]

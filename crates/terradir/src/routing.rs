@@ -428,7 +428,7 @@ mod tests {
             let s = &mut servers[at.index()];
             let mut out = Vec::new();
             let p = QueryPacket::new(1, ServerId(0), target, 0.0);
-            s.handle_message(0.0, Message::Query(p), &mut rng, &mut out);
+            s.handle_message(0.0, Message::Query(Box::new(p)), &mut rng, &mut out);
             match &out[0] {
                 Outgoing::Send {
                     to,

@@ -815,7 +815,7 @@ impl ServerState {
     fn on_query(
         &mut self,
         now: f64,
-        mut p: QueryPacket,
+        mut p: Box<QueryPacket>,
         rng: &mut impl RngCore,
         out: &mut Vec<Outgoing>,
     ) {
@@ -865,7 +865,7 @@ impl ServerState {
                 }
             }
         }
-        match self.decide_route(p.target, &p.recent, rng) {
+        match self.decide_route(p.target, p.recent.as_slice(), rng) {
             RouteChoice::Resolve => {
                 self.weights.bump(p.target, now, 1.0);
                 if self.cfg.leases.enabled && self.cfg.leases.refresh_on_use {
@@ -975,7 +975,7 @@ impl ServerState {
     fn on_result(
         &mut self,
         now: f64,
-        mut p: QueryPacket,
+        mut p: Box<QueryPacket>,
         _resolved_by: ServerId,
         meta: Meta,
         children: Vec<(NodeId, NodeMap)>,
@@ -1809,7 +1809,7 @@ mod tests {
         p.prev_hop = Some(ServerId(1));
         // Default config: detection fires, the correction stays NotHosting.
         let mut out = Vec::new();
-        s.handle_message(1.0, Message::Query(p.clone()), &mut rng, &mut out);
+        s.handle_message(1.0, Message::Query(Box::new(p.clone())), &mut rng, &mut out);
         assert!(out
             .iter()
             .any(|o| matches!(o, Outgoing::Event(ProtocolEvent::Misrouted { .. }))));
@@ -1829,7 +1829,7 @@ mod tests {
         cfg2.leases.misroute = true;
         let mut s = ServerState::new(ServerId(0), Arc::clone(&ns), Arc::new(cfg2), &asg);
         let mut out = Vec::new();
-        s.handle_message(1.0, Message::Query(p), &mut rng, &mut out);
+        s.handle_message(1.0, Message::Query(Box::new(p)), &mut rng, &mut out);
         assert!(out.iter().any(|o| matches!(
             o,
             Outgoing::Send { to, msg: Message::Misroute { node, from, .. } }

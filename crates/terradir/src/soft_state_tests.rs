@@ -48,7 +48,7 @@ fn not_hosting_correction_fires_on_inaccurate_via() {
     let mut p = QueryPacket::new(1, ServerId(1), target, 0.0);
     p.intended_via = Some(via);
     p.prev_hop = Some(ServerId(1));
-    servers[0].handle_message(0.0, Message::Query(p), &mut rng, &mut out);
+    servers[0].handle_message(0.0, Message::Query(Box::new(p)), &mut rng, &mut out);
     let corrections: Vec<_> = sends_of(&out)
         .into_iter()
         .filter(|(to, m)| {
@@ -140,7 +140,12 @@ fn backprop_sends_fresh_map_upstream_with_rate_limit() {
         p
     };
     let mut out = Vec::new();
-    servers[0].handle_message(10.0, Message::Query(mk_packet()), &mut rng, &mut out);
+    servers[0].handle_message(
+        10.0,
+        Message::Query(Box::new(mk_packet())),
+        &mut rng,
+        &mut out,
+    );
     let updates = sends_of(&out)
         .into_iter()
         .filter(|(to, m)| {
@@ -150,7 +155,12 @@ fn backprop_sends_fresh_map_upstream_with_rate_limit() {
     assert_eq!(updates, 1, "fresh advertisement back-propagates");
     // Immediately again: rate-limited.
     out.clear();
-    servers[0].handle_message(10.01, Message::Query(mk_packet()), &mut rng, &mut out);
+    servers[0].handle_message(
+        10.01,
+        Message::Query(Box::new(mk_packet())),
+        &mut rng,
+        &mut out,
+    );
     let updates = sends_of(&out)
         .into_iter()
         .filter(|(_, m)| matches!(m, Message::MapUpdate { .. }))
@@ -158,7 +168,12 @@ fn backprop_sends_fresh_map_upstream_with_rate_limit() {
     assert_eq!(updates, 0, "second back-propagation is rate-limited");
     // Long after the advertisement window: silent.
     out.clear();
-    servers[0].handle_message(100.0, Message::Query(mk_packet()), &mut rng, &mut out);
+    servers[0].handle_message(
+        100.0,
+        Message::Query(Box::new(mk_packet())),
+        &mut rng,
+        &mut out,
+    );
     let updates = sends_of(&out)
         .into_iter()
         .filter(|(_, m)| matches!(m, Message::MapUpdate { .. }))
@@ -210,7 +225,7 @@ fn in_flight_path_entries_naming_non_hosts_are_stripped() {
     // The path falsely claims server 0 hosts `far`.
     p.push_path(far, NodeMap::from_entries([ServerId(0)]), 8);
     let mut out = Vec::new();
-    servers[0].handle_message(0.0, Message::Query(p), &mut rng, &mut out);
+    servers[0].handle_message(0.0, Message::Query(Box::new(p)), &mut rng, &mut out);
     // The forwarded packet must not carry the poisoned entry, and server
     // 0's own cache must not have absorbed a self-pointer.
     for (_, msg) in sends_of(&out) {
@@ -283,8 +298,18 @@ fn recent_ring_is_bounded_and_fifo() {
     }
     assert_eq!(p.recent.len(), crate::messages::RECENT_HOPS);
     assert_eq!(
-        p.recent,
-        vec![ServerId(2), ServerId(3), ServerId(4), ServerId(5)]
+        p.recent.as_slice(),
+        &[ServerId(2), ServerId(3), ServerId(4), ServerId(5)]
+    );
+    // A partly filled ring shows only its live entries, oldest first.
+    let mut q = QueryPacket::new(2, ServerId(0), NodeId(0), 0.0);
+    assert!(q.recent.is_empty());
+    q.push_recent(ServerId(7));
+    q.push_recent(ServerId(8));
+    assert_eq!(q.recent.as_slice(), &[ServerId(7), ServerId(8)]);
+    assert_eq!(
+        format!("{:?}", q.recent),
+        format!("{:?}", vec![ServerId(7), ServerId(8)])
     );
 }
 
@@ -301,7 +326,7 @@ fn owner_meta_updates_flow_to_lookup_results() {
     // A lookup resolving at the owner carries the meta snapshot.
     let p = QueryPacket::new(5, ServerId(2), node, 0.0);
     let mut out = Vec::new();
-    servers[0].handle_message(0.0, Message::Query(p), &mut rng, &mut out);
+    servers[0].handle_message(0.0, Message::Query(Box::new(p)), &mut rng, &mut out);
     let meta = out
         .iter()
         .find_map(|o| match o {

@@ -36,7 +36,9 @@ use crate::lexer::{cfg_test_ranges, line_of, scrub};
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/namespace/src/tree.rs",
     "crates/sim/src/calendar.rs",
+    "crates/terradir/src/cache.rs",
     "crates/terradir/src/gossip.rs",
+    "crates/terradir/src/messages.rs",
     "crates/terradir/src/roles.rs",
     "crates/terradir/src/routing.rs",
     "crates/terradir/src/server.rs",

@@ -148,13 +148,13 @@ proptest! {
                     let mut p = QueryPacket::new(1, ServerId(origin), NodeId(target), now);
                     p.intended_via = via.map(NodeId);
                     p.prev_hop = prev.map(ServerId);
-                    Some(Message::Query(p))
+                    Some(Message::Query(Box::new(p)))
                 }
                 FuzzOp::Result { target, path_node, path_host } => {
                     let mut p = QueryPacket::new(2, ServerId(0), NodeId(target), now);
                     p.push_path(NodeId(path_node), NodeMap::singleton(ServerId(path_host)), 8);
                     Some(Message::QueryResult {
-                        packet: p,
+                        packet: Box::new(p),
                         resolved_by: ServerId(1),
                         meta: Meta::new(),
                         children: vec![],
