@@ -34,13 +34,16 @@
 //!   same cadence: the digest arm must lose no more objects at lower
 //!   repair wire cost.
 //!
-//! A replay arm proves a gossip-enabled run replays byte-identically
-//! from the seed, and an inertness arm proves every gossip knob is dead
-//! while `gossip.enabled = false`: two gossip-off runs with wildly
-//! different gossip settings must produce byte-identical stats.
+//! That a gossip-enabled run replays byte-identically from the seed is
+//! tested by `gossip_replays_bitwise` (crates/terradir/src/system.rs), and
+//! that every gossip knob is dead while `gossip.enabled = false` by
+//! `disabled_gossip_ignores_every_gossip_knob` (tests/determinism.rs).
 
 use terradir::{ChaosAction, Config, GossipCulture, ScenarioEvent, Summary, System};
-use terradir_bench::{tsv_header, tsv_row, write_bench_json, Args, JsonObj, Scale, ShapeChecks};
+use terradir_bench::{
+    smooth, time_to_reconverge, tsv_header, tsv_row, write_bench_json, Args, JsonObj, Scale,
+    ShapeChecks,
+};
 use terradir_workload::StreamPlan;
 
 const CULTURES: [(GossipCulture, &str); 3] = [
@@ -62,7 +65,6 @@ struct Run {
     curve: Vec<f64>,
     ttr_heal: f64,
     ttr_recover: f64,
-    stats_debug: String,
     summary: Summary,
     accounting_exact: bool,
     audit_findings: usize,
@@ -82,40 +84,6 @@ impl Run {
             .num("ttr_heal", self.ttr_heal)
             .num("ttr_recover", self.ttr_recover)
             .raw("summary", &self.summary.to_json())
-    }
-}
-
-/// Trailing 9-second mean of the per-second curve (single seconds hold a
-/// few hundred resolutions, so the raw bins carry ~±1 % shot noise).
-fn smooth(curve: &[f64]) -> Vec<f64> {
-    curve
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            let lo = i.saturating_sub(8);
-            let w = &curve[lo..=i];
-            w.iter().sum::<f64>() / w.len() as f64
-        })
-        .collect()
-}
-
-/// Seconds from `event_at` until the smoothed curve reaches ≥ 99 % clean
-/// resolutions and *stays* there through the rest of `[event_at, limit)`.
-/// Infinite when the fleet never settles inside the window.
-fn time_to_reconverge(curve: &[f64], event_at: f64, limit: f64) -> f64 {
-    let lo = event_at.floor() as usize;
-    let hi = (limit.floor() as usize).min(curve.len());
-    if lo >= hi {
-        return f64::INFINITY;
-    }
-    let mut t = hi;
-    while t > lo && curve[t - 1] >= 0.99 {
-        t -= 1;
-    }
-    if t == hi {
-        f64::INFINITY
-    } else {
-        (t as f64 - event_at).max(0.0)
     }
 }
 
@@ -198,7 +166,6 @@ fn run_one(
         curve,
         ttr_heal,
         ttr_recover,
-        stats_debug: format!("{st:?}"),
         summary: st.summary(),
         accounting_exact: st.resolved + st.dropped_total() == st.injected,
         audit_findings: audit.len(),
@@ -517,64 +484,6 @@ fn main() {
         format!("{} sweep pushes", digest.repair_pushes),
     );
 
-    // ---- Replay + inertness arms -------------------------------------
-    let replay_a = run_one(
-        &scale,
-        churn_cfg(Some(GossipCulture::Hybrid)),
-        dur,
-        dur_drain,
-        None,
-    );
-    let replay_b = run_one(
-        &scale,
-        churn_cfg(Some(GossipCulture::Hybrid)),
-        dur,
-        dur_drain,
-        None,
-    );
-    checks.check(
-        "gossip-enabled run replays byte-identically",
-        replay_a.stats_debug == replay_b.stats_debug,
-        format!(
-            "{} bytes of RunStats debug compared",
-            replay_a.stats_debug.len()
-        ),
-    );
-    // Every gossip knob must be dead while `enabled = false`: two
-    // gossip-off runs with wildly different settings are the same run.
-    let inert_cfg = |culture: GossipCulture, fanout: u32, window: u32| {
-        let mut cfg = churn_cfg(None);
-        cfg.gossip.culture = culture;
-        cfg.gossip.fanout = fanout;
-        cfg.gossip.window = window;
-        cfg.gossip.interval = 0.05;
-        cfg
-    };
-    let inert_a = run_one(
-        &scale,
-        inert_cfg(GossipCulture::Chatty, 1, 1),
-        dur,
-        dur_drain,
-        None,
-    );
-    let inert_b = run_one(
-        &scale,
-        inert_cfg(GossipCulture::Hybrid, 7, 512),
-        dur,
-        dur_drain,
-        None,
-    );
-    checks.check(
-        "gossip-off runs are byte-identical across dead knobs",
-        inert_a.stats_debug == inert_b.stats_debug,
-        "knob changes leaked into a disabled subsystem".to_string(),
-    );
-    checks.check(
-        "gossip-off runs carry zero gossip bytes",
-        inert_a.gossip_bytes == 0 && inert_b.gossip_bytes == 0,
-        format!("{} / {}", inert_a.gossip_bytes, inert_b.gossip_bytes),
-    );
-
     let json = JsonObj::new()
         .str("bench", "antientropy")
         .int("servers", u64::from(scale.servers))
@@ -594,8 +503,7 @@ fn main() {
                 .obj("digest", digest.json())
                 .int("sweep_repair_bytes", sweep_repair_bytes)
                 .int("digest_repair_bytes", digest_repair_bytes),
-        )
-        .obj("replay", replay_a.json());
+        );
     write_bench_json("antientropy", &json);
 
     std::process::exit(i32::from(!checks.finish()));

@@ -35,10 +35,10 @@
 //!   repair on. More copies, more crash draws survived between repair
 //!   sweeps: objects lost must not increase with rf.
 //!
-//! A replay arm re-runs one storage-enabled configuration and compares
-//! the full `RunStats` debug rendering byte-for-byte, and a storage-off
-//! run asserts every storage counter stays zero (the subsystem is
-//! inert unless asked for).
+//! That a storage-enabled run replays byte-identically from the seed is
+//! tested by `storage_runs_replay_byte_identically`, and that storage
+//! stays inert unless asked for by `storage_disabled_touches_nothing`
+//! (both in crates/terradir/src/system.rs).
 
 use terradir::{Config, CutWindow, Summary, System};
 use terradir_bench::{tsv_header, tsv_row, write_bench_json, Args, JsonObj, Scale, ShapeChecks};
@@ -81,7 +81,6 @@ struct Run {
     reads_failed: u64,
     stale_reads: u64,
     repair_pushes: u64,
-    stats_debug: String,
     summary: Summary,
 }
 
@@ -167,7 +166,6 @@ fn run_one(scale: &Scale, cfg: Config, dur: f64) -> Run {
         reads_failed: st.reads_failed,
         stale_reads: st.stale_reads,
         repair_pushes: st.repair_pushes,
-        stats_debug: format!("{st:?}"),
         summary: st.summary(),
     }
 }
@@ -365,39 +363,6 @@ fn main() {
         );
     }
 
-    // ---- Replay + inertness arms -------------------------------------
-    let replay_cfg = || {
-        build_cfg(
-            &scale,
-            args.seed,
-            dur,
-            0.12,
-            true,
-            true,
-            true,
-            WRITE_RATES[1],
-        )
-    };
-    let a = run_one(&scale, replay_cfg(), dur);
-    let b = run_one(&scale, replay_cfg(), dur);
-    checks.check(
-        "storage-enabled run replays byte-identically",
-        a.stats_debug == b.stats_debug,
-        "two runs at one seed diverged".to_string(),
-    );
-
-    let off_cfg = scale.config(args.seed); // storage disabled by default
-    let off = run_one(&scale, off_cfg, dur);
-    checks.check(
-        "storage-off is inert",
-        off.objects_written == 0
-            && off.object_reads == 0
-            && off.reads_failed == 0
-            && off.stale_reads == 0
-            && off.repair_pushes == 0,
-        format!("storage-off run recorded storage activity: {off:?}"),
-    );
-
     let json = JsonObj::new()
         .int("servers", u64::from(scale.servers))
         .int("seed", args.seed)
@@ -412,8 +377,7 @@ fn main() {
         .arr("objects_lost_by_rf", &lost_by_rf)
         .obj("churn_sweep", churn_json)
         .obj("write_sweep", write_json)
-        .obj("rf_sweep", rf_json)
-        .obj("replay", a.json());
+        .obj("rf_sweep", rf_json);
     write_bench_json("durability", &json);
 
     std::process::exit(i32::from(!checks.finish()));

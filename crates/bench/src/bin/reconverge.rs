@@ -18,11 +18,12 @@
 //!
 //! - `repair` — leases, misroute NACK repair, and warm-rejoin
 //!   reconciliation all on;
-//! - `repair-replay` — the same configuration again, proving the run
-//!   replays byte-identically from the seed;
 //! - `off` — the repair machinery off. Misroute *detection* is
 //!   unconditional, so the baseline's curve is measured on exactly the
 //!   same footing; only the healing is missing.
+//!
+//! That such a run replays byte-identically from the seed is tested by
+//! `lease_sweep_and_misroute_repair_replay_bitwise` (tests/determinism.rs).
 //!
 //! Output: both reconvergence curves, and per-event time-to-reconvergence
 //! (seconds from the event until the curve reaches ≥ 99 % and stays there
@@ -31,7 +32,10 @@
 //! recovery.
 
 use terradir::{ChaosAction, ScenarioEvent, Summary, System};
-use terradir_bench::{tsv_header, tsv_row, write_bench_json, Args, JsonObj, Scale, ShapeChecks};
+use terradir_bench::{
+    smooth, time_to_reconverge, tsv_header, tsv_row, write_bench_json, Args, JsonObj, Scale,
+    ShapeChecks,
+};
 use terradir_workload::StreamPlan;
 
 /// Timeline of the scripted scenario (all in simulated seconds).
@@ -82,43 +86,8 @@ impl Timeline {
     }
 }
 
-/// Trailing 9-second mean of the per-second curve (single seconds hold a
-/// few hundred resolutions, so the raw bins carry ~±1 % shot noise).
-fn smooth(curve: &[f64]) -> Vec<f64> {
-    curve
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            let lo = i.saturating_sub(8);
-            let w = &curve[lo..=i];
-            w.iter().sum::<f64>() / w.len() as f64
-        })
-        .collect()
-}
-
-/// Seconds from `event_at` until the smoothed curve reaches ≥ 99 % clean
-/// resolutions and *stays* there through the rest of `[event_at, limit)`.
-/// Infinite when the fleet never settles inside the window.
-fn time_to_reconverge(curve: &[f64], event_at: f64, limit: f64) -> f64 {
-    let lo = event_at.floor() as usize;
-    let hi = (limit.floor() as usize).min(curve.len());
-    if lo >= hi {
-        return f64::INFINITY;
-    }
-    let mut t = hi;
-    while t > lo && curve[t - 1] >= 0.99 {
-        t -= 1;
-    }
-    if t == hi {
-        f64::INFINITY
-    } else {
-        (t as f64 - event_at).max(0.0)
-    }
-}
-
 struct Run {
     label: String,
-    stats_debug: String,
     summary: Summary,
     curve: Vec<f64>,
     ttr_heal: f64,
@@ -204,7 +173,6 @@ fn run_scenario(
     let audit = sys.audit();
     Run {
         label: label.to_string(),
-        stats_debug: format!("{st:?}"),
         summary: st.summary(),
         curve,
         ttr_heal,
@@ -235,15 +203,14 @@ fn main() {
     );
 
     let mut runs: Vec<Run> = Vec::new();
-    for (label, repair) in [("repair", true), ("repair-replay", true), ("off", false)] {
+    for (label, repair) in [("repair", true), ("off", false)] {
         runs.push(run_scenario(&scale, args.seed, repair, label, tl, rate));
         eprint!(".");
     }
     eprintln!();
 
     let repair = &runs[0];
-    let replay = &runs[1];
-    let off = &runs[2];
+    let off = &runs[1];
 
     tsv_header(&["time", "repair", "off"]);
     let bins = repair.curve.len().max(off.curve.len());
@@ -306,14 +273,6 @@ fn main() {
     write_bench_json("reconverge", &json);
 
     let mut checks = ShapeChecks::new();
-    checks.check(
-        "scenario replays byte-identically from the seed",
-        repair.stats_debug == replay.stats_debug,
-        format!(
-            "{} bytes of RunStats debug compared",
-            repair.stats_debug.len()
-        ),
-    );
     for r in &runs {
         checks.check(
             &format!("{}: accounting is exactly decomposable", r.label),

@@ -24,10 +24,11 @@
 //!   backbone) and an edge wave (the admission-restricted majority) must
 //!   both requorum inside the tail window.
 //!
-//! Replay arms prove a roles+tenants run replays byte-identically from
-//! the seed, and that populated-but-disabled role/tenant structs are
-//! inert: such a run is byte-identical to one with the plain paper
-//! config at the same seed (zero extra RNG draws).
+//! That a roles+tenants crowd run replays byte-identically from the seed
+//! is tested by `roles_tenants_and_flash_crowd_replay_bitwise`
+//! (tests/determinism.rs), and that populated-but-disabled role/tenant
+//! structs are inert by `disabled_roles_and_tenants_are_inert`
+//! (crates/terradir/src/system.rs).
 
 use terradir::{
     ChaosAction, Config, RunStats, ScenarioEvent, ServerClass, ServerId, System, TenantMap,
@@ -70,7 +71,6 @@ struct Run {
     misrouted: Vec<f64>,
     worst: f64,
     slo_misses: u64,
-    stats_debug: String,
     json: JsonObj,
     audit_findings: usize,
 }
@@ -102,7 +102,6 @@ fn finish(sys: &mut System) -> Run {
         misrouted,
         worst: st.tenant_worst_availability(),
         slo_misses: st.tenant_slo_misses(),
-        stats_debug: format!("{st:?}"),
         json,
         audit_findings: audit.len(),
     }
@@ -258,41 +257,6 @@ fn main() {
             "{} / {} findings",
             base.audit_findings, crowd.audit_findings
         ),
-    );
-
-    // ---- Replay: crowd arm is byte-identical from the seed -----------
-    let crowd_again = iso_run(true);
-    checks.check(
-        "roles+tenants crowd run replays byte-identically",
-        crowd.stats_debug == crowd_again.stats_debug,
-        format!(
-            "{} bytes of RunStats debug compared",
-            crowd.stats_debug.len()
-        ),
-    );
-
-    // ---- Inertness: disabled structs must not perturb one draw -------
-    let inert_run = |loaded: bool| {
-        let mut cfg = scale.config(args.seed);
-        if loaded {
-            roles_on(&mut cfg);
-            tenants_on(&mut cfg);
-            cfg.roles.enabled = false;
-            cfg.tenants.enabled = false;
-            cfg.roles.relay_queue_factor = 16.0;
-        }
-        let mut sys = System::new(scale.ts_namespace(), cfg, StreamPlan::unif(drain), rate);
-        sys.run_until(dur);
-        sys.set_injection(false);
-        sys.run_until(drain);
-        format!("{:?}", sys.stats())
-    };
-    let plain = inert_run(false);
-    let loaded = inert_run(true);
-    checks.check(
-        "disabled roles/tenants are byte-inert",
-        plain == loaded,
-        "populated-but-disabled structs changed the run".to_string(),
     );
 
     // ---- Cross-class failure waves: time-to-requorum by class --------

@@ -274,6 +274,33 @@ pub fn pct(x: f64) -> String {
     format!("{:.2}%", x * 100.0)
 }
 
+/// Trailing 9-second mean of a per-second reconvergence curve (single
+/// seconds hold a few hundred resolutions, so the raw bins carry ~±1 %
+/// shot noise).
+pub fn smooth(curve: &[f64]) -> Vec<f64> {
+    (0..curve.len())
+        .map(|i| {
+            let w = curve.get(i.saturating_sub(8)..=i).unwrap_or_default();
+            w.iter().sum::<f64>() / w.len() as f64
+        })
+        .collect()
+}
+
+/// Seconds from `event_at` until the smoothed curve reaches ≥ 99 % clean
+/// resolutions and *stays* there through the rest of `[event_at, limit)`.
+/// Infinite when the fleet never settles inside the window.
+pub fn time_to_reconverge(curve: &[f64], event_at: f64, limit: f64) -> f64 {
+    let lo = event_at.floor() as usize;
+    let hi = (limit.floor() as usize).min(curve.len());
+    let window = curve.get(lo..hi).unwrap_or_default();
+    let settled = window.iter().rev().take_while(|&&c| c >= 0.99).count();
+    if settled == 0 {
+        f64::INFINITY
+    } else {
+        ((hi - settled) as f64 - event_at).max(0.0)
+    }
+}
+
 /// A minimal shape-check reporter: prints PASS/FAIL lines the
 /// EXPERIMENTS.md table is built from, and tracks overall status.
 #[derive(Debug, Default)]
@@ -377,6 +404,27 @@ mod tests {
     fn raw_embeds_prerendered_json_verbatim() {
         let j = JsonObj::new().raw("summary", "{\"injected\":3}").render();
         assert_eq!(j, "{\"summary\":{\"injected\":3}}");
+    }
+
+    #[test]
+    fn reconvergence_settle_time_of_a_step_and_a_relapse() {
+        // Dirty until second 12, clean after: settled 12 − 5 = 7 s after
+        // an event at t = 5.
+        let step: Vec<f64> = (0..30).map(|t| if t < 12 { 0.5 } else { 1.0 }).collect();
+        assert_eq!(time_to_reconverge(&step, 5.0, 30.0), 7.0);
+        // Clean from the start: settled the instant the event fires.
+        assert_eq!(time_to_reconverge(&step, 15.0, 30.0), 0.0);
+        // A relapse in the last bin means it never settled in the window.
+        let mut relapse = step.clone();
+        relapse[29] = 0.9;
+        assert_eq!(time_to_reconverge(&relapse, 5.0, 30.0), f64::INFINITY);
+        // An empty window never settles either.
+        assert_eq!(time_to_reconverge(&step, 30.0, 30.0), f64::INFINITY);
+        // Smoothing averages the trailing nine bins.
+        let smoothed = smooth(&step);
+        assert_eq!(smoothed.len(), step.len());
+        assert_eq!(smoothed[12], (8.0 * 0.5 + 1.0) / 9.0);
+        assert_eq!(smoothed[20], 1.0);
     }
 
     #[test]

@@ -46,47 +46,9 @@ pub struct Config {
     pub r_fact: f64,
     /// Maximum node-map size R_map (entries per map, stored and shipped).
     pub r_map: usize,
-    /// Failed partner-selection attempts before a session aborts.
-    pub max_session_attempts: u32,
-    /// Cooldown after an aborted session before retrying, seconds.
-    pub session_cooldown: f64,
-    /// A session older than this is abandoned (lost control message).
-    pub session_timeout: f64,
-    /// Half-life of node-weight demand counters, seconds (the paper rescales
-    /// counters periodically; we decay them continuously, which is the same
-    /// estimator without a rescale event).
-    pub weight_half_life: f64,
     /// Replicas whose decayed weight falls below this are eligible for idle
     /// eviction at maintenance time.
     pub evict_weight_threshold: f64,
-    /// Minimum replica age before idle eviction, seconds.
-    pub evict_min_age: f64,
-    /// Target false-positive rate of inverse-mapping digests.
-    pub digest_fpr: f64,
-    /// Maximum digests retained per server (LRU).
-    pub digest_store_slots: usize,
-    /// Maximum Bloom tests spent per routing step on shortcut discovery.
-    pub digest_test_budget: usize,
-    /// Known-load table slots per server (LRU).
-    pub known_load_slots: usize,
-    /// Load information older than this is ignored when picking partners.
-    pub load_stale_after: f64,
-    /// Hop TTL; queries exceeding it are dropped (guards against routing
-    /// loops caused by stale soft state).
-    pub ttl_hops: u32,
-    /// Maximum path entries propagated with a query (path propagation cap).
-    pub path_cap: usize,
-    /// Service cost of a control message relative to `mean_service`.
-    pub control_service_factor: f64,
-    /// After advertising a new replica, a host back-propagates its map
-    /// upstream for this long (§3.7 back-propagation).
-    pub backprop_window: f64,
-    /// Minimum gap between back-propagations of the same record.
-    pub backprop_min_gap: f64,
-    /// An incoming replica only displaces an existing one when its demand
-    /// weight exceeds the victim's by this factor (anti-thrash guard on
-    /// capacity evictions; see DESIGN.md).
-    pub evict_displace_factor: f64,
     /// Server speed heterogeneity: per-server service rates are drawn
     /// log-uniformly from `[1/spread, spread]` and normalized to mean 1
     /// (so aggregate capacity is spread-invariant). 1.0 = homogeneous.
@@ -157,9 +119,6 @@ pub struct FaultConfig {
     pub loss_prob: f64,
     /// Uniform extra latency in `[0, jitter)` seconds added per remote hop.
     pub jitter: f64,
-    /// How long a negative-cache entry ("host observed dead") is kept
-    /// before the host may re-enter maps via normal soft-state spread.
-    pub dead_ttl: f64,
 }
 
 impl FaultConfig {
@@ -174,7 +133,6 @@ impl Default for FaultConfig {
         FaultConfig {
             loss_prob: 0.0,
             jitter: 0.0,
-            dead_ttl: 10.0,
         }
     }
 }
@@ -186,6 +144,8 @@ impl Default for FaultConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryConfig {
     /// Master switch for the reliability layer (pending table + timers).
+    /// Negative caching — evicting hosts observed dead from maps, cache
+    /// and digests — is on exactly when this is.
     pub enabled: bool,
     /// Total attempts per query including the first (≥ 1).
     pub max_attempts: u32,
@@ -194,9 +154,6 @@ pub struct RetryConfig {
     pub base_timeout: f64,
     /// Upper bound on any single attempt's timeout, seconds.
     pub cap: f64,
-    /// Evict hosts observed dead from maps/cache/digests (negative
-    /// caching); only meaningful while the reliability layer is enabled.
-    pub negative_caching: bool,
 }
 
 impl Default for RetryConfig {
@@ -206,7 +163,6 @@ impl Default for RetryConfig {
             max_attempts: 4,
             base_timeout: 1.0,
             cap: 8.0,
-            negative_caching: true,
         }
     }
 }
@@ -248,8 +204,8 @@ impl Default for ChurnConfig {
 /// reachability group `s mod n_groups`; a *cut* severs a set of groups
 /// from the rest of the fleet for a window of simulated time. Remote
 /// deliveries crossing the active cut are dropped at delivery time, with
-/// `HostDown` feedback synthesized at the sender when negative caching is
-/// on. The default (`n_groups = 1`, no cuts) is inert.
+/// `HostDown` feedback synthesized at the sender when the retry layer
+/// (and with it negative caching) is on. The default (`n_groups = 1`, no cuts) is inert.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionConfig {
     /// Number of reachability groups (≥ 1). With a single group every cut
@@ -497,7 +453,7 @@ impl Default for GossipConfig {
 pub enum ServerClass {
     /// Backbone server: accepts replicas/objects for *any* subtree and
     /// runs with `relay_queue_factor ×` queue depth and
-    /// `relay_speed_factor ×` service rate.
+    /// `system::RELAY_SPEED_FACTOR ×` service rate.
     Relay,
     /// Leaf server: accepts replicas/objects only for admission regions
     /// on its allowlist (by default, the regions containing nodes it
@@ -510,7 +466,7 @@ pub enum ServerClass {
 }
 
 /// Heterogeneous fleet roles (DESIGN.md §19): splits the namespace into
-/// admission regions rooted at depth `region_depth` and the fleet into
+/// admission regions rooted at depth `roles::REGION_DEPTH` and the fleet into
 /// [`ServerClass`]es by server id. Every placement decision — replication
 /// partner ranking, storage `replica_targets`, gossip candidate pools,
 /// and reconcile push targets — consults the role map; violations are
@@ -531,14 +487,6 @@ pub struct RoleConfig {
     pub keeper_every: u32,
     /// Relay queue depth relative to `queue_capacity` (≥ 1).
     pub relay_queue_factor: f64,
-    /// Relay service-rate multiplier applied on top of the (possibly
-    /// heterogeneous) static speed (≥ 1). Deterministic scaling — no
-    /// extra RNG draws.
-    pub relay_speed_factor: f64,
-    /// Namespace depth of admission-region roots: every node at this
-    /// depth roots a region covering its subtree; shallower nodes form
-    /// the spine, which every server admits.
-    pub region_depth: u16,
     /// Explicit admissions: `(server, region_root_node)` pairs grant the
     /// named edge/keeper admission to the named region *in addition to*
     /// its owned-derived allowlist (pairs naming non-region-root nodes
@@ -557,8 +505,6 @@ impl Default for RoleConfig {
             relay_every: 4,
             keeper_every: 2,
             relay_queue_factor: 4.0,
-            relay_speed_factor: 2.0,
-            region_depth: 1,
             edge_allow: Vec::new(),
             owned_admission: true,
         }
@@ -700,23 +646,7 @@ impl Config {
             delta_min: 0.25,
             r_fact: 2.0,
             r_map: 5,
-            max_session_attempts: 3,
-            session_cooldown: 0.5,
-            session_timeout: 2.0,
-            weight_half_life: 2.0,
             evict_weight_threshold: 0.01,
-            evict_min_age: 5.0,
-            digest_fpr: 0.0001,
-            digest_store_slots: 128,
-            digest_test_budget: 256,
-            known_load_slots: 256,
-            load_stale_after: 5.0,
-            ttl_hops: 64,
-            path_cap: 32,
-            control_service_factor: 0.1,
-            backprop_window: 3.0,
-            backprop_min_gap: 0.25,
-            evict_displace_factor: 1.5,
             speed_spread: 1.0,
             static_top_levels: 0,
             static_replicas_per_node: 3,
@@ -767,12 +697,6 @@ impl Config {
         (self.r_fact * owned as f64).floor() as usize
     }
 
-    /// Whether hosts observed dead are evicted from soft state (negative
-    /// caching rides on the reliability layer).
-    pub fn negative_caching_active(&self) -> bool {
-        self.retry.enabled && self.retry.negative_caching
-    }
-
     /// Whether stale-pointer hops are answered with the digest-carrying
     /// `Misroute` NACK (rides on the lease subsystem).
     pub fn misroute_active(&self) -> bool {
@@ -816,9 +740,6 @@ impl Config {
         if self.load_window.is_nan() || self.load_window <= 0.0 {
             return Err("load_window must be positive".into());
         }
-        if self.ttl_hops == 0 {
-            return Err("ttl_hops must be at least 1".into());
-        }
         if self.speed_spread.is_nan() || self.speed_spread < 1.0 {
             return Err("speed_spread must be ≥ 1".into());
         }
@@ -833,9 +754,6 @@ impl Config {
         }
         if !self.faults.jitter.is_finite() || self.faults.jitter < 0.0 {
             return Err("faults.jitter must be finite and non-negative".into());
-        }
-        if self.faults.dead_ttl.is_nan() || self.faults.dead_ttl <= 0.0 {
-            return Err("faults.dead_ttl must be positive".into());
         }
         if self.retry.max_attempts == 0 {
             return Err("retry.max_attempts must be at least 1".into());
@@ -935,9 +853,6 @@ impl Config {
         if self.roles.enabled {
             if !self.roles.relay_queue_factor.is_finite() || self.roles.relay_queue_factor < 1.0 {
                 return Err("roles.relay_queue_factor must be finite and ≥ 1".into());
-            }
-            if !self.roles.relay_speed_factor.is_finite() || self.roles.relay_speed_factor < 1.0 {
-                return Err("roles.relay_speed_factor must be finite and ≥ 1".into());
             }
             if let Some((s, _)) = self
                 .roles
@@ -1068,7 +983,6 @@ mod tests {
         assert!(!c.faults.enabled());
         assert!(!c.retry.enabled);
         assert!(!c.churn.enabled);
-        assert!(!c.negative_caching_active());
         assert_eq!(c.validate(), Ok(()));
     }
 
@@ -1079,9 +993,6 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = Config::paper_default(4);
         c.faults.jitter = -0.1;
-        assert!(c.validate().is_err());
-        let mut c = Config::paper_default(4);
-        c.faults.dead_ttl = 0.0;
         assert!(c.validate().is_err());
         let mut c = Config::paper_default(4);
         c.retry.max_attempts = 0;
@@ -1381,9 +1292,6 @@ mod tests {
         c.roles.relay_queue_factor = 0.5;
         assert!(c.validate().is_err());
         c.roles.relay_queue_factor = 4.0;
-        c.roles.relay_speed_factor = f64::NAN;
-        assert!(c.validate().is_err());
-        c.roles.relay_speed_factor = 2.0;
         c.roles.edge_allow.push((9, 0));
         assert!(c.validate().is_err(), "edge_allow server beyond fleet");
         c.roles.edge_allow.clear();

@@ -11,6 +11,11 @@ use crate::det::DetHashMap;
 use terradir_bloom::{BloomParams, Digest, DigestBuilder};
 use terradir_namespace::{Namespace, NodeId, ServerId};
 
+/// Target false-positive rate of the routing and gossip digests
+/// (DESIGN.md §9.6). Not the classic 1 %: with ~128 digests tested per
+/// routing step, a 1 % rate means more than one false shortcut per query.
+pub const DIGEST_FPR: f64 = 1e-4;
+
 /// Builds a server's digest over its currently hosted node ids.
 ///
 /// Filter capacity tracks the hosted count (with headroom for growth up to

@@ -24,6 +24,27 @@ use crate::messages::{Message, ReplicaPayload};
 use crate::records::NodeRecord;
 use crate::server::{Outgoing, ProtocolEvent, ServerState};
 
+/// Partner picks a session may try before it aborts (§3.3 step 5 retries
+/// "a bounded number of times"; three keeps a session to a few probe round
+/// trips, well inside `server::SESSION_TIMEOUT`).
+pub const MAX_SESSION_ATTEMPTS: u32 = 3;
+
+/// Seconds a server waits after an aborted or partnerless session before
+/// it may start another: one load window, so the retry sees a fresh
+/// measurement instead of re-probing on the same overload evidence.
+pub const SESSION_COOLDOWN: f64 = 0.5;
+
+/// Profiled load older than this many seconds is ignored when picking a
+/// partner: ten load windows, after which a reading no longer says much
+/// about the server's current load.
+pub const LOAD_STALE_AFTER: f64 = 5.0;
+
+/// An incoming replica displaces an existing one at the `R_fact` cap only
+/// when its demand weight is at least this many times the victim's
+/// (DESIGN.md §9.8). Under flat demand all weights are similar, and blind
+/// displacement churned thousands of replicas per minute for no benefit.
+pub const EVICT_DISPLACE_FACTOR: f64 = 1.5;
+
 /// Profiled load information about other servers, bounded LRU-by-age.
 #[derive(Debug, Clone)]
 pub(crate) struct KnownLoads {
@@ -165,7 +186,7 @@ impl ServerState {
         }
         let Some(target) = self.pick_partner(now, &[], rng) else {
             // No eligible partner — nothing started, just back off.
-            self.cooldown_until = now + self.cfg.session_cooldown;
+            self.cooldown_until = now + SESSION_COOLDOWN;
             return;
         };
         self.session = Some(Session {
@@ -220,16 +241,14 @@ impl ServerState {
                 }
             }
         }
-        if let Some(s) = self.known_loads.best_candidate(
-            now,
-            self.cfg.load_stale_after,
-            &exclude,
-            self.static_speeds(),
-        ) {
+        if let Some(s) =
+            self.known_loads
+                .best_candidate(now, LOAD_STALE_AFTER, &exclude, self.static_speeds())
+        {
             let ls = self.load.effective(now);
             let known = self
                 .known_loads
-                .get_fresh(s, now, self.cfg.load_stale_after)
+                .get_fresh(s, now, LOAD_STALE_AFTER)
                 .unwrap_or(0.0);
             if ls - known >= self.cfg.delta_min {
                 return Some(s);
@@ -292,7 +311,7 @@ impl ServerState {
     /// §3.3 step 5: try another partner or give up.
     fn retry_session(&mut self, now: f64, rng: &mut impl RngCore, out: &mut Vec<Outgoing>) {
         let Some(sess) = &self.session else { return };
-        if sess.attempts >= self.cfg.max_session_attempts {
+        if sess.attempts >= MAX_SESSION_ATTEMPTS {
             self.abort_session(now, out);
             return;
         }
@@ -318,7 +337,7 @@ impl ServerState {
 
     pub(crate) fn abort_session(&mut self, now: f64, out: &mut Vec<Outgoing>) {
         self.session = None;
-        self.cooldown_until = now + self.cfg.session_cooldown;
+        self.cooldown_until = now + SESSION_COOLDOWN;
         out.push(Outgoing::Event(ProtocolEvent::SessionAborted {
             by: self.id,
         }));
@@ -463,7 +482,7 @@ impl ServerState {
                     candidates.first().copied()
                 };
                 match victim {
-                    Some((w, v)) if p.weight >= w * self.cfg.evict_displace_factor => {
+                    Some((w, v)) if p.weight >= w * EVICT_DISPLACE_FACTOR => {
                         self.remove_replica(v, out);
                     }
                     _ => break, // nothing displaceable
@@ -990,7 +1009,7 @@ mod tests {
     fn partner_death_mid_session_aborts_cleanly() {
         // Regression: a partner dying while a session is in flight must
         // abort the session on the spot, not strand it until
-        // `session_timeout` — otherwise the overloaded server cannot shed
+        // `SESSION_TIMEOUT` — otherwise the overloaded server cannot shed
         // load for the whole timeout window.
         let (_, _, mut servers) = world(4);
         let mut cfg = Config::paper_default(4);
@@ -1050,7 +1069,7 @@ mod tests {
         assert_eq!(servers[0].session.as_ref().unwrap().target, ServerId(4));
         assert_eq!(servers[0].session.as_ref().unwrap().attempts, 2);
         // 4 also refuses; third attempt goes somewhere random, then a
-        // fourth failure aborts (max_session_attempts = 3).
+        // fourth failure aborts (MAX_SESSION_ATTEMPTS = 3).
         out.clear();
         servers[0].on_probe_reply(now, ServerId(4), 0.95, &mut rng, &mut out);
         let t3 = servers[0].session.as_ref().unwrap().target;

@@ -3,7 +3,7 @@
 //!
 //! [`RoleMap`] materializes [`RoleConfig`](crate::config::RoleConfig):
 //! every server gets a [`ServerClass`] from its id, the namespace is
-//! split into *admission regions* rooted at `region_depth`, and a dense
+//! split into *admission regions* rooted at [`REGION_DEPTH`], and a dense
 //! bitmap answers "may server `s` hold soft state for node `n`?" in
 //! O(1) with zero allocation — the query runs at every placement
 //! decision (partner ranking, storage placement, gossip pools,
@@ -27,7 +27,13 @@ use terradir_namespace::{Namespace, NodeId, OwnerAssignment, ServerId};
 
 use crate::config::{RoleConfig, ServerClass, TenantConfig};
 
-/// Sentinel region index for spine nodes (shallower than `region_depth`).
+/// Namespace depth of admission-region roots: every node at this depth
+/// roots a region covering its subtree, and the shallower nodes form the
+/// spine every server admits. Depth 1 gives each top-level subtree its own
+/// region.
+pub const REGION_DEPTH: u16 = 1;
+
+/// Sentinel region index for spine nodes (shallower than `REGION_DEPTH`).
 const SPINE: u32 = u32::MAX;
 
 /// Sentinel tenant index for nodes above the tenant cut.
@@ -79,7 +85,7 @@ impl RoleMap {
             // xtask: allow(alloc): role-map construction, runs once per system
             .collect();
 
-        // Region roots are the nodes at exactly `region_depth`, in id
+        // Region roots are the nodes at exactly `REGION_DEPTH`, in id
         // order; every deeper node inherits its ancestor's region.
         // xtask: allow(alloc): role-map construction, runs once per system
         let mut region_roots = Vec::new();
@@ -87,7 +93,7 @@ impl RoleMap {
         let mut region_of = vec![SPINE; ns.len()];
         for node in ns.ids() {
             let d = ns.depth(node);
-            let r = match d.cmp(&roles.region_depth) {
+            let r = match d.cmp(&REGION_DEPTH) {
                 std::cmp::Ordering::Equal => {
                     region_roots.push(node);
                     region_roots.len() as u32 - 1
@@ -204,7 +210,7 @@ impl RoleMap {
             .unwrap_or(false)
     }
 
-    /// Is `node` on the spine (shallower than `region_depth`, shared by
+    /// Is `node` on the spine (shallower than `REGION_DEPTH`, shared by
     /// the whole fleet)?
     #[inline]
     pub fn in_spine(&self, node: NodeId) -> bool {
@@ -386,7 +392,7 @@ mod tests {
         for node in ns.ids() {
             assert!(map.admits(ServerId(0), node));
         }
-        // The root is spine (depth 0 < region_depth 1): everyone admits it.
+        // The root is spine (depth 0 < REGION_DEPTH 1): everyone admits it.
         for s in 0..8 {
             assert!(map.admits(ServerId(s), ns.root()));
         }

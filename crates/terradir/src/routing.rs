@@ -33,6 +33,12 @@ use terradir_namespace::{distance, NodeId, ServerId};
 use crate::map::NodeMap;
 use crate::server::ServerState;
 
+/// Bloom tests one routing step may spend on shortcut discovery. Twice
+/// `server::DIGEST_STORE_SLOTS`: a full digest store is tested for the
+/// target and for its parent before the scan gives up, which bounds the
+/// cost of a step toward a deep target.
+pub const DIGEST_TEST_BUDGET: usize = 256;
+
 /// Outcome of one routing decision.
 #[derive(Debug, Clone)]
 pub enum RouteChoice {
@@ -108,7 +114,7 @@ impl ServerState {
         let mut digest_hit: Option<(u32, NodeId, ServerId)> = None;
         if self.cfg.digests && !self.digest_store.is_empty() {
             let best_dist = best.as_ref().map_or(u32::MAX, |(d, _, _)| *d);
-            let mut budget = self.cfg.digest_test_budget;
+            let mut budget = DIGEST_TEST_BUDGET;
             let mut chain = Some(target);
             let mut dist = 0u32;
             'outer: while let Some(node) = chain {

@@ -16,15 +16,64 @@ use terradir_namespace::{Namespace, NodeId, OwnerAssignment, ServerId};
 
 use crate::cache::RouteCache;
 use crate::config::Config;
-use crate::digests::{build_digest, DigestStore};
+use crate::digests::{build_digest, DigestStore, DIGEST_FPR};
 use crate::load::LoadMeter;
 use crate::map::NodeMap;
 use crate::messages::{Message, QueryKind, QueryPacket};
 use crate::meta::Meta;
 use crate::ranking::NodeWeights;
 use crate::records::NodeRecord;
-use crate::replication::{KnownLoads, Session};
+use crate::replication::{KnownLoads, Session, SESSION_COOLDOWN};
 use crate::routing::RouteChoice;
+
+/// A replication session older than this many seconds is abandoned: one of
+/// its control messages was lost or its partner died silently. Four load
+/// windows cover the `replication::MAX_SESSION_ATTEMPTS` probe round trips
+/// with room to spare.
+pub const SESSION_TIMEOUT: f64 = 2.0;
+
+/// Half-life in seconds of the per-node demand counters. The paper rescales
+/// its counters periodically; a continuous decay is the same estimator
+/// without a rescale event, and four load windows keep the ranking stable
+/// across one window's noise while still following a hot-spot shift.
+pub const WEIGHT_HALF_LIFE: f64 = 2.0;
+
+/// Minimum age in seconds before a replica may be evicted as idle. The
+/// grace period lets the new host's advertisement spread and traffic reach
+/// the replica before its demand is judged.
+pub const EVICT_MIN_AGE: f64 = 5.0;
+
+/// Remote digests kept per server (LRU). Shortcut discovery tests at most
+/// `routing::DIGEST_TEST_BUDGET` of them per step, so this bounds the
+/// memory, not the routing cost.
+pub const DIGEST_STORE_SLOTS: usize = 128;
+
+/// Profiled-load entries kept per server (LRU) for partner selection.
+pub const KNOWN_LOAD_SLOTS: usize = 256;
+
+/// After advertising new replicas into a record, a host back-propagates the
+/// record's map one hop upstream for this many seconds (paper §3.7,
+/// DESIGN.md §9.3), so the servers routing toward a hot node learn its
+/// new replicas and traffic splits.
+pub const BACKPROP_WINDOW: f64 = 3.0;
+
+/// Minimum gap in seconds between two back-propagations of one record, so
+/// a hot record does not send a `MapUpdate` upstream on every query.
+pub const BACKPROP_MIN_GAP: f64 = 0.25;
+
+/// Path entries a query propagates (the cap on path propagation, §2.4).
+/// Half `TTL_HOPS` and well above the hop count of a typical resolved
+/// query, so the cap bounds the packet rather than the caching.
+pub const PATH_CAP: usize = 32;
+
+/// Hop TTL: a query that has taken more hops than this is dropped. It
+/// guards against routing loops built from stale soft state; a resolvable
+/// query in a connected namespace needs far fewer hops.
+pub const TTL_HOPS: u32 = 64;
+
+/// Seconds a negative-cache entry ("host observed dead", DESIGN.md §12) is
+/// kept before the host may re-enter maps through normal soft-state spread.
+pub const DEAD_TTL: f64 = 10.0;
 
 /// Effects emitted while handling a message.
 #[derive(Debug, Clone)]
@@ -221,7 +270,7 @@ pub struct ServerState {
     /// Negative cache (DESIGN.md §12): hosts observed dead via transport
     /// failure, mapped to the observation time. While a host is here it is
     /// kept out of every stored map; entries expire after
-    /// `Config::faults.dead_ttl` or on any message proving the host alive.
+    /// `DEAD_TTL` or on any message proving the host alive.
     pub(crate) negative: DetHashMap<ServerId, f64>,
     /// Anti-entropy gossip bookkeeping (DESIGN.md §18): the windowed
     /// digest over hosted names and object-version keys, its change
@@ -278,7 +327,7 @@ impl ServerState {
             id,
             owned.keys(),
             Self::digest_capacity(&cfg, owned.len()),
-            cfg.digest_fpr,
+            DIGEST_FPR,
             0,
         );
         ServerState {
@@ -288,14 +337,10 @@ impl ServerState {
             neighbor_maps,
             context_lease,
             cache: RouteCache::new(if cfg.caching { cfg.cache_slots } else { 0 }),
-            digest_store: DigestStore::new(if cfg.digests {
-                cfg.digest_store_slots
-            } else {
-                0
-            }),
-            weights: NodeWeights::new(cfg.weight_half_life),
+            digest_store: DigestStore::new(if cfg.digests { DIGEST_STORE_SLOTS } else { 0 }),
+            weights: NodeWeights::new(WEIGHT_HALF_LIFE),
             load: LoadMeter::new(cfg.load_window, cfg.load_window * 4.0),
-            known_loads: KnownLoads::new(cfg.known_load_slots),
+            known_loads: KnownLoads::new(KNOWN_LOAD_SLOTS),
             digest,
             digest_dirty: false,
             digest_gen: 0,
@@ -646,7 +691,7 @@ impl ServerState {
     /// forget its digest and load observations so shortcuts and partner
     /// selection stop targeting it.
     pub(crate) fn mark_host_dead(&mut self, now: f64, host: ServerId, out: &mut Vec<Outgoing>) {
-        if host == self.id || !self.cfg.negative_caching_active() {
+        if host == self.id || !self.cfg.retry.enabled {
             return;
         }
         let newly = self.negative.insert(host, now).is_none();
@@ -682,7 +727,7 @@ impl ServerState {
         self.digest_store.forget(host);
         self.known_loads.forget(host);
         // A replication session probing the dead partner aborts on the
-        // spot: stranding it until `session_timeout` would block load
+        // spot: stranding it until `SESSION_TIMEOUT` would block load
         // shedding exactly when the failure makes it urgent.
         if self.session.as_ref().is_some_and(|s| s.target == host) {
             self.abort_session(now, out);
@@ -793,12 +838,12 @@ impl ServerState {
         if !self.cfg.replication || prev == self.id {
             return;
         }
-        let window = self.cfg.backprop_window;
-        let min_gap = self.cfg.backprop_min_gap;
         let Some(rec) = self.host_record_mut(node) else {
             return;
         };
-        if rec.map.len() <= 1 || now - rec.advertised_at > window || now - rec.backprop_at < min_gap
+        if rec.map.len() <= 1
+            || now - rec.advertised_at > BACKPROP_WINDOW
+            || now - rec.backprop_at < BACKPROP_MIN_GAP
         {
             return;
         }
@@ -895,7 +940,7 @@ impl ServerState {
                 } else {
                     Vec::new()
                 };
-                p.push_path(p.target, map, self.cfg.path_cap);
+                p.push_path(p.target, map, PATH_CAP);
                 out.push(Outgoing::Send {
                     to: p.origin,
                     msg: Message::QueryResult {
@@ -919,13 +964,13 @@ impl ServerState {
                     self.refresh_lease_of(via, now);
                 }
                 if self.cfg.path_propagation {
-                    p.push_path(via, map_snapshot, self.cfg.path_cap);
+                    p.push_path(via, map_snapshot, PATH_CAP);
                 }
                 p.hops += 1;
                 if p.misrouted {
                     p.detour_hops += 1;
                 }
-                if p.hops > self.cfg.ttl_hops {
+                if p.hops > TTL_HOPS {
                     if std::env::var_os("TERRADIR_TRACE_TTL").is_some() {
                         eprintln!(
                             "TTL drop at {}: target={} via={} recent={:?} path={:?}",
@@ -1165,15 +1210,14 @@ impl ServerState {
     pub fn maintenance(&mut self, now: f64, out: &mut Vec<Outgoing>) {
         self.load.roll(now);
         if !self.negative.is_empty() {
-            let dead_ttl = self.cfg.faults.dead_ttl;
-            self.negative.retain(|_, at| now - *at <= dead_ttl);
+            self.negative.retain(|_, at| now - *at <= DEAD_TTL);
         }
         if self.cfg.replication {
             self.evict_idle_replicas(now, out);
             if let Some(s) = &self.session {
-                if now - s.started_at > self.cfg.session_timeout {
+                if now - s.started_at > SESSION_TIMEOUT {
                     self.session = None;
-                    self.cooldown_until = now + self.cfg.session_cooldown;
+                    self.cooldown_until = now + SESSION_COOLDOWN;
                     out.push(Outgoing::Event(ProtocolEvent::SessionAborted {
                         by: self.id,
                     }));
@@ -1243,7 +1287,7 @@ impl ServerState {
             .replicas
             .values()
             .filter(|r| {
-                now - r.installed_at > cfg.evict_min_age
+                now - r.installed_at > EVICT_MIN_AGE
                     && self.weights.value(r.node, now) < cfg.evict_weight_threshold
                     // Keeper-pinned replicas never idle out (§19).
                     && !self.pins_node(r.node)
@@ -1294,7 +1338,7 @@ impl ServerState {
             self.id,
             self.owned.keys().chain(self.replicas.keys()),
             Self::digest_capacity(&self.cfg, self.owned.len()),
-            self.cfg.digest_fpr,
+            DIGEST_FPR,
             self.digest_gen,
         );
         self.digest_dirty = false;
@@ -1324,7 +1368,7 @@ impl ServerState {
     fn gossip_params(&self, capacity: usize) -> terradir_bloom::BloomParams {
         terradir_bloom::BloomParams::for_capacity(
             capacity.max(8),
-            self.cfg.digest_fpr,
+            DIGEST_FPR,
             0x6055_1bed ^ self.id.0 as u64,
         )
     }
@@ -1429,15 +1473,15 @@ impl ServerState {
             0
         });
         self.digest_store = DigestStore::new(if self.cfg.digests {
-            self.cfg.digest_store_slots
+            DIGEST_STORE_SLOTS
         } else {
             0
         });
-        self.weights = NodeWeights::new(self.cfg.weight_half_life);
+        self.weights = NodeWeights::new(WEIGHT_HALF_LIFE);
         let mut load = LoadMeter::new(self.cfg.load_window, self.cfg.load_window * 4.0);
         load.roll(now);
         self.load = load;
-        self.known_loads = KnownLoads::new(self.cfg.known_load_slots);
+        self.known_loads = KnownLoads::new(KNOWN_LOAD_SLOTS);
         self.session = None;
         self.cooldown_until = now;
         self.pending_fetches.clear();

@@ -23,6 +23,17 @@ use crate::messages::{Message, QueryPacket};
 use crate::server::{Outgoing, ProtocolEvent, ServerState};
 use crate::stats::{DropKind, RunStats};
 
+/// Service cost of a result or control message relative to a routing
+/// step's (DESIGN.md §9.1). The paper's exponential service time models
+/// routing steps; charging a full step to result delivery at the origin
+/// inflated utilization by one extra service per query.
+pub const CONTROL_SERVICE_FACTOR: f64 = 0.1;
+
+/// Relay service-rate multiplier on top of the (possibly heterogeneous)
+/// drawn speed: relays model the backbone class's faster hardware
+/// (DESIGN.md §19).
+pub const RELAY_SPEED_FACTOR: f64 = 2.0;
+
 /// DES event alphabet.
 #[derive(Debug)]
 enum Event {
@@ -84,6 +95,25 @@ enum Event {
 // Calendar entries take the size of the largest variant (`Deliver`, which
 // holds a `Message`): keep it small so bursts do not inflate the heap.
 const _: () = assert!(std::mem::size_of::<Event>() <= 80);
+
+/// Where a query attempt was lost, for [`System::lose_query`].
+#[derive(Debug, Clone, Copy)]
+enum Loss {
+    /// Discarded at a gate: queue, TTL, stuck, transport, shed or cut.
+    Gate(DropKind),
+    /// Delivered to a failed server. Attempt-level it has its own counter;
+    /// as a final drop it counts as a queue drop.
+    DeadTarget,
+}
+
+/// The lookup target of query traffic; `None` for control messages.
+fn query_target(msg: &Message) -> Option<NodeId> {
+    match msg {
+        Message::Query(p) => Some(p.target),
+        Message::QueryResult { packet, .. } => Some(packet.target),
+        _ => None,
+    }
+}
 
 /// Source-side record of one outstanding query under the retry layer.
 #[derive(Debug)]
@@ -260,15 +290,13 @@ impl System {
         let (mut speeds, speed_draws) = Self::draw_speeds(&cfg);
         ledger_add(&mut setup_draws, tags::SPEEDS, speed_draws);
         // Relays run faster hardware: scale their drawn speed by
-        // `relay_speed_factor` (no extra RNG; deliberately breaks the
+        // `RELAY_SPEED_FACTOR` (no extra RNG; deliberately breaks the
         // mean-1 normalization — the fleet's aggregate capacity grows
         // with its relay count, DESIGN.md §19).
         if let Some(r) = &roles {
-            if cfg.roles.relay_speed_factor != 1.0 {
-                for (i, sp) in speeds.iter_mut().enumerate() {
-                    if r.class_of(ServerId(i as u32)) == crate::config::ServerClass::Relay {
-                        *sp *= cfg.roles.relay_speed_factor;
-                    }
+            for (i, sp) in speeds.iter_mut().enumerate() {
+                if r.class_of(ServerId(i as u32)) == crate::config::ServerClass::Relay {
+                    *sp *= RELAY_SPEED_FACTOR;
                 }
             }
         }
@@ -593,28 +621,13 @@ impl System {
         }
         ctx.failed = true;
         self.stats.churn_failures += 1;
-        for msg in ctx.queue.drain(..) {
-            if msg.is_query_traffic() {
-                if retry {
-                    self.stats.on_attempt_lost(DropKind::Queue);
-                } else {
-                    self.stats.on_drop(now, DropKind::Queue);
-                    Self::tenant_drop(self.shared.tenants.as_deref(), &mut self.stats, &msg);
-                }
-            }
-        }
+        let tenants = self.shared.tenants.as_deref();
         // The in-service message dies with the server right now; its
         // already-scheduled completion event is stale-filtered by the
         // epoch bump below.
-        if let Some(msg) = ctx.in_service.take() {
-            if msg.is_query_traffic() {
-                if retry {
-                    self.stats.on_attempt_lost(DropKind::Queue);
-                } else {
-                    self.stats.on_drop(now, DropKind::Queue);
-                    Self::tenant_drop(self.shared.tenants.as_deref(), &mut self.stats, &msg);
-                }
-            }
+        for msg in ctx.queue.drain(..).chain(ctx.in_service.take()) {
+            let (lost, target) = (Loss::Gate(DropKind::Queue), query_target(&msg));
+            Self::lose_query(&mut self.stats, tenants, now, retry, lost, target);
         }
         ctx.epoch += 1;
     }
@@ -1564,37 +1577,44 @@ impl System {
         }
     }
 
-    /// Tenant id of a query-traffic message's lookup target: `None` for
-    /// control traffic, spine targets, or with tenants off. An associated
-    /// fn over disjoint fields so drop sites holding a mutable queue
-    /// borrow can still attribute (DESIGN.md §19).
-    fn tenant_of_msg(tenants: Option<&crate::roles::TenantMap>, msg: &Message) -> Option<u16> {
-        let target = match msg {
-            Message::Query(p) => p.target,
-            Message::QueryResult { packet, .. } => packet.target,
-            _ => return None,
-        };
-        tenants.and_then(|t| t.tenant_of(target))
+    /// [`System::lose_query`] for sites that hold no `ctxs` borrow.
+    fn lose(&mut self, now: f64, lost: Loss, target: Option<NodeId>) {
+        let retry = self.shared.cfg.retry.enabled;
+        let tenants = self.shared.tenants.as_deref();
+        Self::lose_query(&mut self.stats, tenants, now, retry, lost, target);
     }
 
-    /// Attributes a *final* query drop to its target's tenant. Callers on
-    /// the retry path must not call this for attempt-level losses — only
-    /// the finalizing drop counts, mirroring `RunStats::on_drop`.
-    fn tenant_drop(tenants: Option<&crate::roles::TenantMap>, stats: &mut RunStats, msg: &Message) {
-        if let Some(t) = Self::tenant_of_msg(tenants, msg) {
-            stats.on_tenant_dropped(t);
-        }
-    }
-
-    /// `tenant_drop` for sites that hold the lookup target rather than
-    /// the message (the pending-table timeout finalizer).
-    fn tenant_drop_at(
-        tenants: Option<&crate::roles::TenantMap>,
+    /// Records one lost query attempt toward `target` (DESIGN.md §12).
+    /// With `attempt_level` (the retry layer is on, so the pending-table
+    /// timeout owns finalization) the loss feeds an `attempts_lost_*`
+    /// counter. Otherwise it is the query's final drop, attributed to the
+    /// target's tenant (DESIGN.md §19). A `None` target — control traffic
+    /// — records nothing. An associated fn over disjoint fields, so sites
+    /// holding a `ctxs` borrow can call it.
+    fn lose_query(
         stats: &mut RunStats,
-        node: NodeId,
+        tenants: Option<&crate::roles::TenantMap>,
+        now: f64,
+        attempt_level: bool,
+        lost: Loss,
+        target: Option<NodeId>,
     ) {
-        if let Some(t) = tenants.and_then(|m| m.tenant_of(node)) {
-            stats.on_tenant_dropped(t);
+        let Some(target) = target else {
+            return;
+        };
+        match (attempt_level, lost) {
+            (true, Loss::Gate(kind)) => stats.on_attempt_lost(kind),
+            (true, Loss::DeadTarget) => stats.on_attempt_dead(),
+            (false, lost) => {
+                let kind = match lost {
+                    Loss::Gate(kind) => kind,
+                    Loss::DeadTarget => DropKind::Queue,
+                };
+                stats.on_drop(now, kind);
+                if let Some(t) = tenants.and_then(|m| m.tenant_of(target)) {
+                    stats.on_tenant_dropped(t);
+                }
+            }
         }
     }
 
@@ -1847,8 +1867,7 @@ impl System {
                 ..
             } = o
             {
-                let violations =
-                    crate::invariants::check_incremental_progress(&self.shared.cfg, sender, p);
+                let violations = crate::invariants::check_incremental_progress(sender, p);
                 debug_assert!(
                     violations.is_empty(),
                     "forward invariants violated: {violations:#?}"
@@ -2024,8 +2043,9 @@ impl System {
         };
         if attempt >= self.shared.cfg.retry.max_attempts {
             self.pending.remove(&id);
-            self.stats.on_drop(now, DropKind::Timeout);
-            Self::tenant_drop_at(self.shared.tenants.as_deref(), &mut self.stats, target);
+            let tenants = self.shared.tenants.as_deref();
+            let lost = Loss::Gate(DropKind::Timeout);
+            Self::lose_query(&mut self.stats, tenants, now, false, lost, Some(target));
             return;
         }
         // Re-resolve the origin, excluding hosts observed dead.
@@ -2069,8 +2089,8 @@ impl System {
                 // The sender observes the failed send exactly as it would
                 // a dead host (PR 2's negative-caching path). The far
                 // side is unreachable, not dead: entries clear via
-                // proof-of-life after the heal or expire at dead_ttl.
-                if self.shared.cfg.negative_caching_active() && !self.is_failed(sender) {
+                // proof-of-life after the heal or expire at `DEAD_TTL`.
+                if self.shared.cfg.retry.enabled && !self.is_failed(sender) {
                     self.engine.schedule_in(
                         self.shared.cfg.network_delay,
                         Event::Deliver {
@@ -2080,14 +2100,7 @@ impl System {
                         },
                     );
                 }
-                if msg.is_query_traffic() {
-                    if self.shared.cfg.retry.enabled {
-                        self.stats.on_attempt_lost(DropKind::Partition);
-                    } else {
-                        self.stats.on_drop(now, DropKind::Partition);
-                        Self::tenant_drop(self.shared.tenants.as_deref(), &mut self.stats, &msg);
-                    }
-                }
+                self.lose(now, Loss::Gate(DropKind::Partition), query_target(&msg));
                 return;
             }
         }
@@ -2117,7 +2130,7 @@ impl System {
             // Negative-caching feedback: the live sender — whatever the
             // message kind — learns the host is unreachable and purges it
             // from its soft state (DESIGN.md §12).
-            if self.shared.cfg.negative_caching_active() {
+            if self.shared.cfg.retry.enabled {
                 if let Some(sender) = from {
                     if !self.is_failed(sender) {
                         self.engine.schedule_in(
@@ -2131,14 +2144,7 @@ impl System {
                     }
                 }
             }
-            if msg.is_query_traffic() {
-                if self.shared.cfg.retry.enabled {
-                    self.stats.on_attempt_dead();
-                } else {
-                    self.stats.on_drop(now, DropKind::Queue);
-                    Self::tenant_drop(self.shared.tenants.as_deref(), &mut self.stats, &msg);
-                }
-            }
+            self.lose(now, Loss::DeadTarget, query_target(&msg));
             return;
         }
         if cfg!(debug_assertions) {
@@ -2158,13 +2164,11 @@ impl System {
         let cap = ctx.queue_cap;
         let q = &mut ctx.queue;
         if msg.is_query_traffic() && q.len() >= cap {
+            let retry = self.shared.cfg.retry.enabled;
+            let tenants = self.shared.tenants.as_deref();
             if !self.shared.cfg.shedding {
-                if self.shared.cfg.retry.enabled {
-                    self.stats.on_attempt_lost(DropKind::Queue);
-                } else {
-                    self.stats.on_drop(now, DropKind::Queue);
-                    Self::tenant_drop(self.shared.tenants.as_deref(), &mut self.stats, &msg);
-                }
+                let (lost, target) = (Loss::Gate(DropKind::Queue), query_target(&msg));
+                Self::lose_query(&mut self.stats, tenants, now, retry, lost, target);
                 return;
             }
             // Graceful degradation (DESIGN.md §13): shed the deepest-TTL
@@ -2177,7 +2181,7 @@ impl System {
             // (badness −1): a result is a query one delivery away from
             // resolving. If nothing queued is strictly worse than the
             // arrival, the arrival itself is shed.
-            let ttl = i64::from(self.shared.cfg.ttl_hops);
+            let ttl = i64::from(crate::server::TTL_HOPS);
             let badness = |m: &Message| match m {
                 Message::Query(p) => ttl - i64::from(p.hops),
                 _ => -1,
@@ -2202,12 +2206,8 @@ impl System {
                 },
                 None => msg,
             };
-            if self.shared.cfg.retry.enabled {
-                self.stats.on_attempt_lost(DropKind::Shed);
-            } else {
-                self.stats.on_drop(now, DropKind::Shed);
-                Self::tenant_drop(self.shared.tenants.as_deref(), &mut self.stats, &shed);
-            }
+            let (lost, target) = (Loss::Gate(DropKind::Shed), query_target(&shed));
+            Self::lose_query(&mut self.stats, tenants, now, retry, lost, target);
             if victim.is_some() {
                 self.try_start(to);
             }
@@ -2235,7 +2235,7 @@ impl System {
             // Result delivery and control traffic are lightweight: the
             // paper's service time models routing steps, not the direct
             // response to the querier.
-            _ => d *= self.shared.cfg.control_service_factor,
+            _ => d *= CONTROL_SERVICE_FACTOR,
         }
         ctx.server.record_busy(now, d);
         ctx.util.record_busy(now, d);
@@ -2331,18 +2331,7 @@ impl System {
                         use rand::Rng;
                         if self.rng_faults.gen::<f64>() < loss_prob {
                             self.stats.messages_lost += 1;
-                            if msg.is_query_traffic() {
-                                if self.shared.cfg.retry.enabled {
-                                    self.stats.on_attempt_lost(DropKind::Lost);
-                                } else {
-                                    self.stats.on_drop(now, DropKind::Lost);
-                                    Self::tenant_drop(
-                                        self.shared.tenants.as_deref(),
-                                        &mut self.stats,
-                                        &msg,
-                                    );
-                                }
-                            }
+                            self.lose(now, Loss::Gate(DropKind::Lost), query_target(&msg));
                             continue;
                         }
                     }
@@ -2407,20 +2396,10 @@ impl System {
                 }
             }
             ProtocolEvent::DroppedTtl { target, .. } => {
-                if self.shared.cfg.retry.enabled {
-                    self.stats.on_attempt_lost(DropKind::Ttl);
-                } else {
-                    self.stats.on_drop(now, DropKind::Ttl);
-                    Self::tenant_drop_at(self.shared.tenants.as_deref(), &mut self.stats, target);
-                }
+                self.lose(now, Loss::Gate(DropKind::Ttl), Some(target));
             }
             ProtocolEvent::DroppedStuck { target, .. } => {
-                if self.shared.cfg.retry.enabled {
-                    self.stats.on_attempt_lost(DropKind::Stuck);
-                } else {
-                    self.stats.on_drop(now, DropKind::Stuck);
-                    Self::tenant_drop_at(self.shared.tenants.as_deref(), &mut self.stats, target);
-                }
+                self.lose(now, Loss::Gate(DropKind::Stuck), Some(target));
             }
             ProtocolEvent::HostMarkedDead { .. } => self.stats.negative_evictions += 1,
             ProtocolEvent::Misrouted { .. } => self.stats.misroutes += 1,

@@ -9,7 +9,9 @@
 //!
 //! 1. enum exhaustiveness ([`exhaustive`]) — generalizes and subsumes
 //!    the original message-handler and drop-taxonomy checks,
-//! 2. config docs ↔ DESIGN.md ([`crate::checks::check_struct_docs`]),
+//! 2. config docs ↔ DESIGN.md, both ways: every field documented
+//!    ([`crate::checks::check_struct_docs`]) and every §10 row naming a
+//!    live field ([`crate::checks::check_design_rows`]),
 //! 3. hot-path allocation discipline ([`hotpath`]),
 //! 4. counter conservation ([`conservation`]),
 //! 5. dead config ([`dead_config`]).
@@ -129,6 +131,7 @@ pub fn run(root: &Path) -> Report {
             for name in dead_config::CONFIG_STRUCTS {
                 vs.extend(checks::check_struct_docs(&config, &design, name));
             }
+            vs.extend(checks::check_design_rows(&config, &design));
         }
         (a, b) => {
             report.io_errors.extend(a.err());

@@ -39,6 +39,9 @@ pub struct ConfigField {
     pub line: usize,
     /// Whether a `///` doc comment immediately precedes it.
     pub has_doc: bool,
+    /// Name of the field's type, or of its element type for a `Vec<…>`
+    /// (`FaultConfig`, `CutWindow`, `u32`); empty for tuple types.
+    pub ty: String,
 }
 
 /// Extracts the public fields of `pub struct <name> { … }` with their
@@ -111,11 +114,17 @@ pub fn struct_fields(config_src: &str, name: &str) -> Vec<ConfigField> {
                 .take_while(|c| c.is_alphanumeric() || *c == '_')
                 .collect();
             let after = rest.get(name.len()..).map_or("", str::trim_start);
-            if !name.is_empty() && after.starts_with(':') {
+            if let Some(ty) = after.strip_prefix(':').filter(|_| !name.is_empty()) {
+                let ty = ty.trim_start();
+                let ty = ty.strip_prefix("Vec<").unwrap_or(ty);
                 fields.push(ConfigField {
                     name,
                     line: lineno,
                     has_doc: prev_was_doc,
+                    ty: ty
+                        .chars()
+                        .take_while(|c| c.is_alphanumeric() || *c == '_')
+                        .collect(),
                 });
             }
         }
@@ -157,6 +166,59 @@ pub fn check_struct_docs(config_src: &str, design_md: &str, name: &str) -> Vec<V
         }
     }
     out
+}
+
+/// The reverse half of the config-docs audit: every backticked field path
+/// in the first cell of a DESIGN.md §10 table row (`faults.loss_prob`,
+/// `tenants.specs[].weight`) must still resolve, segment by segment, from
+/// `Config` through the named sub-struct fields. A row left behind by a
+/// deleted or renamed field is reported at its DESIGN.md line. The audit
+/// covers §10 up to its first sub-heading.
+pub fn check_design_rows(config_src: &str, design_md: &str) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let mut in_section = false;
+    for (idx, line) in design_md.lines().enumerate() {
+        if line.starts_with('#') {
+            if in_section {
+                break;
+            }
+            in_section = line.starts_with("## 10.");
+            continue;
+        }
+        if !in_section {
+            continue;
+        }
+        let Some(first_cell) = line.strip_prefix('|').and_then(|r| r.split('|').next()) else {
+            continue;
+        };
+        for path in first_cell.split('`').skip(1).step_by(2) {
+            if let Some(what) = unresolved_segment(config_src, path) {
+                out.push(Violation {
+                    file: "DESIGN.md".into(),
+                    line: idx + 1,
+                    what: format!("§10 row `{path}` names no config field: {what}"),
+                });
+            }
+        }
+    }
+    out
+}
+
+/// Walks `path` from `Config`; describes the first segment that is not a
+/// field of the struct reached so far.
+fn unresolved_segment(config_src: &str, path: &str) -> Option<String> {
+    let mut owner = "Config".to_string();
+    for seg in path.split('.') {
+        let seg = seg.trim_end_matches("[]");
+        let Some(field) = struct_fields(config_src, &owner)
+            .into_iter()
+            .find(|f| f.name == seg)
+        else {
+            return Some(format!("`{seg}` is not a field of `{owner}`"));
+        };
+        owner = field.ty;
+    }
+    None
 }
 
 /// Variant names of `pub enum Message { … }`.
@@ -386,6 +448,20 @@ pub struct Config {
         let vs = check_struct_docs(src, "", "RetryConfig");
         assert_eq!(vs.len(), 1);
         assert!(vs[0].what.contains("parser drift"));
+    }
+
+    #[test]
+    fn design_rows_resolve_through_sub_structs() {
+        let src = "pub struct Config {\n    /// F.\n    pub faults: FaultConfig,\n    /// S.\n    pub specs: Vec<TenantSpec>,\n}\npub struct FaultConfig {\n    /// L.\n    pub loss_prob: f64,\n}\npub struct TenantSpec {\n    /// W.\n    pub weight: f64,\n}\n";
+        let design = "## 10. Config\n| `faults.loss_prob` | x |\n| `specs[].weight`, `faults` | y |\n| `faults.dead_ttl` | z |\n| `specs[].weight.bits` | w |\n";
+        let vs = check_design_rows(src, design);
+        assert_eq!(vs.len(), 2, "{vs:?}");
+        assert_eq!(vs[0].line, 4);
+        assert!(vs[0]
+            .what
+            .contains("`dead_ttl` is not a field of `FaultConfig`"));
+        assert_eq!(vs[1].line, 5);
+        assert!(vs[1].what.contains("`bits` is not a field of `f64`"));
     }
 
     #[test]

@@ -77,6 +77,21 @@ fn dead_config_fixture_is_flagged_at_the_orphan_knob() {
 }
 
 #[test]
+fn stale_design_row_is_flagged_at_its_line() {
+    let config = fixture("dead_config_bad.rs");
+    let design = fixture("config_docs_bad.md");
+    let vs = xtask::checks::check_design_rows(&config, &design);
+    assert_eq!(vs.len(), 1, "{vs:?}");
+    assert_eq!(vs[0].file, "DESIGN.md");
+    assert_eq!(vs[0].line, 8);
+    assert!(vs[0]
+        .what
+        .contains("`retired_knob` is not a field of `Config`"));
+    // The forward half still passes: every live field has its row.
+    assert!(xtask::checks::check_struct_docs(&config, &design, "Config").is_empty());
+}
+
+#[test]
 fn exhaustive_fixture_flags_the_variant_behind_the_wildcard() {
     let src = fixture("exhaustive_bad.rs");
     let rule = exhaustive::EnumRule {

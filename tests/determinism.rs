@@ -139,6 +139,91 @@ fn lease_sweep_and_misroute_repair_replay_bitwise() {
     assert!(a.4 > 0, "reconciliation never pushed: {a:?}");
 }
 
+/// The full `RunStats` debug rendering minus the trailing allocation
+/// ledger, which counts host allocator activity: one-time lazy
+/// initialization lands in whichever arm runs first on a thread.
+fn stats_debug(sys: &System) -> String {
+    let full = format!("{:?}", sys.stats());
+    full.split(", alloc_events:").next().unwrap().to_string()
+}
+
+#[test]
+fn disabled_gossip_ignores_every_gossip_knob() {
+    use terradir_repro::protocol::GossipCulture;
+    let run = |culture: GossipCulture, fanout: u32, window: u32| {
+        let ns = balanced_tree(2, 5);
+        let mut cfg = Config::paper_default(16).with_seed(17);
+        cfg.retry.enabled = true;
+        cfg.storage.enabled = true;
+        cfg.storage.write_rate = 10.0;
+        cfg.churn.enabled = true;
+        cfg.churn.start = 2.0;
+        cfg.churn.stop = 14.0;
+        cfg.churn.mean_uptime = 10.0;
+        cfg.churn.mean_downtime = 2.0;
+        cfg.gossip.enabled = false;
+        cfg.gossip.culture = culture;
+        cfg.gossip.fanout = fanout;
+        cfg.gossip.window = window;
+        cfg.gossip.interval = 0.05;
+        let mut sys = System::new(ns, cfg, StreamPlan::uzipf(1.0, 20.0), 80.0);
+        sys.run_until(15.0);
+        sys.set_injection(false);
+        sys.run_until(20.0);
+        assert_eq!(sys.stats().gossip_bytes, 0, "gossip-off run sent gossip");
+        stats_debug(&sys)
+    };
+    assert_eq!(
+        run(GossipCulture::Chatty, 1, 1),
+        run(GossipCulture::Hybrid, 7, 512),
+        "gossip knobs leaked into a disabled subsystem"
+    );
+}
+
+#[test]
+fn roles_tenants_and_flash_crowd_replay_bitwise() {
+    use terradir_repro::protocol::{ChaosAction, ScenarioEvent, TenantSpec};
+    let run = || {
+        let ns = balanced_tree(2, 6);
+        let mut cfg = Config::paper_default(16).with_seed(31);
+        cfg.retry.enabled = true;
+        cfg.roles.enabled = true;
+        cfg.tenants.enabled = true;
+        cfg.tenants.cut_depth = 2;
+        for (weight, zipf_theta) in [(4.0, 0.9), (2.0, 0.5), (1.0, 0.0)] {
+            cfg.tenants.specs.push(TenantSpec {
+                weight,
+                zipf_theta,
+                slo_availability: 0.9,
+            });
+        }
+        cfg.scenario.events = vec![
+            ScenarioEvent {
+                at: 4.0,
+                action: ChaosAction::FlashCrowd {
+                    node: 7,
+                    rate_multiplier: 4.0,
+                },
+            },
+            ScenarioEvent {
+                at: 9.0,
+                action: ChaosAction::FlashCrowd {
+                    node: 7,
+                    rate_multiplier: 1.0,
+                },
+            },
+        ];
+        cfg.validate().unwrap();
+        let mut sys = System::new(ns, cfg, StreamPlan::unif(15.0), 120.0);
+        sys.run_until(12.0);
+        sys.set_injection(false);
+        sys.run_until(15.0);
+        assert!(sys.stats().flash_injected > 0, "flash crowd never fired");
+        stats_debug(&sys)
+    };
+    assert_eq!(run(), run(), "roles+tenants crowd run is not replayable");
+}
+
 #[test]
 fn draw_ledger_is_equal_across_replay_and_accounts_every_stream() {
     use terradir_repro::workload::seed::tags;
