@@ -8,9 +8,9 @@
 //!   `(time, sequence)` so same-time events fire in schedule order, which
 //!   makes every run bit-reproducible ([`calendar`]).
 //! - [`Engine`]: the clock plus scheduling API ([`engine`]).
-//! - [`series`]: fixed-width time-binned metric collectors (counts, means,
-//!   maxima) used for the per-second curves in Figs. 3, 4, 6 and 8, with a
-//!   rolling-window smoother for the "max load averaged over 11 s" view.
+//! - [`series`]: a fixed-width time-binned event counter for the per-second
+//!   curves in Figs. 3, 4 and 8, with a rolling-window smoother for Fig. 6's
+//!   "max load averaged over 11 s" view.
 //! - [`histogram`]: a fixed-bucket histogram with quantiles for latency
 //!   reporting.
 //!
@@ -30,4 +30,4 @@ pub mod series;
 pub use calendar::Calendar;
 pub use engine::Engine;
 pub use histogram::Histogram;
-pub use series::{rolling_mean, BinnedCounter, BinnedMax, BinnedMean};
+pub use series::{rolling_mean, BinnedCounter};

@@ -1,10 +1,10 @@
-//! Fixed-width time-binned metric collectors.
+//! Fixed-width time-binned event counting.
 //!
 //! The paper reports almost everything as per-second curves (queries dropped
 //! every second, replicas created every second, per-second server load).
-//! These collectors bin a stream of `(time, value)` observations into fixed
-//! `dt`-wide bins; [`rolling_mean`] post-processes a series the way Fig. 6
-//! smooths the maximum load over 11-second windows.
+//! [`BinnedCounter`] bins a stream of event times into fixed `dt`-wide bins;
+//! [`rolling_mean`] post-processes a series the way Fig. 6 smooths the
+//! maximum load over 11-second windows.
 
 /// Counts events per time bin (e.g. drops per second).
 #[derive(Debug, Clone)]
@@ -67,107 +67,6 @@ impl BinnedCounter {
     }
 }
 
-/// Averages samples per time bin (e.g. mean load each second).
-#[derive(Debug, Clone)]
-pub struct BinnedMean {
-    dt: f64,
-    sums: Vec<f64>,
-    counts: Vec<u64>,
-}
-
-impl BinnedMean {
-    /// A mean collector with bins of width `dt` seconds.
-    pub fn new(dt: f64) -> BinnedMean {
-        assert!(dt > 0.0 && dt.is_finite(), "bin width must be positive");
-        BinnedMean {
-            dt,
-            sums: Vec::new(),
-            counts: Vec::new(),
-        }
-    }
-
-    /// Records a sample value at time `t`.
-    pub fn record(&mut self, t: f64, value: f64) {
-        assert!(t >= 0.0 && t.is_finite());
-        let b = (t / self.dt) as usize;
-        if b >= self.sums.len() {
-            self.sums.resize(b + 1, 0.0);
-            self.counts.resize(b + 1, 0);
-        }
-        if let Some(sum) = self.sums.get_mut(b) {
-            *sum += value;
-        }
-        if let Some(count) = self.counts.get_mut(b) {
-            *count += 1;
-        }
-    }
-
-    /// Per-bin means (`None` for empty bins).
-    pub fn means(&self) -> Vec<Option<f64>> {
-        self.sums
-            .iter()
-            .zip(&self.counts)
-            .map(|(&s, &c)| if c > 0 { Some(s / c as f64) } else { None })
-            .collect()
-    }
-
-    /// Per-bin means with empty bins reported as 0.
-    pub fn means_or_zero(&self) -> Vec<f64> {
-        self.means().into_iter().map(|m| m.unwrap_or(0.0)).collect()
-    }
-
-    /// Bin width in seconds.
-    pub fn dt(&self) -> f64 {
-        self.dt
-    }
-}
-
-/// Keeps the maximum sample per time bin (e.g. most-loaded server each
-/// second).
-#[derive(Debug, Clone)]
-pub struct BinnedMax {
-    dt: f64,
-    maxima: Vec<f64>,
-}
-
-impl BinnedMax {
-    /// A max collector with bins of width `dt` seconds.
-    pub fn new(dt: f64) -> BinnedMax {
-        assert!(dt > 0.0 && dt.is_finite(), "bin width must be positive");
-        BinnedMax {
-            dt,
-            maxima: Vec::new(),
-        }
-    }
-
-    /// Records a sample value at time `t`.
-    pub fn record(&mut self, t: f64, value: f64) {
-        assert!(t >= 0.0 && t.is_finite());
-        let b = (t / self.dt) as usize;
-        if b >= self.maxima.len() {
-            self.maxima.resize(b + 1, f64::NEG_INFINITY);
-        }
-        if let Some(max) = self.maxima.get_mut(b) {
-            if value > *max {
-                *max = value;
-            }
-        }
-    }
-
-    /// Per-bin maxima (empty bins read as 0).
-    pub fn maxima(&self) -> Vec<f64> {
-        self.maxima
-            .iter()
-            .map(|&m| if m.is_finite() { m } else { 0.0 })
-            .collect()
-    }
-
-    /// Bin width in seconds.
-    pub fn dt(&self) -> f64 {
-        self.dt
-    }
-}
-
 /// Centered-nowhere (trailing) rolling mean over `window` bins.
 ///
 /// `out[i] = mean(series[i.saturating_sub(window-1) ..= i])` — the Fig. 6
@@ -221,25 +120,6 @@ mod tests {
         let mut c = BinnedCounter::new(1.0);
         c.record(5.5);
         assert_eq!(c.bins(), &[0, 0, 0, 0, 0, 1]);
-    }
-
-    #[test]
-    fn mean_bins_average() {
-        let mut m = BinnedMean::new(1.0);
-        m.record(0.2, 1.0);
-        m.record(0.8, 3.0);
-        m.record(2.0, 10.0);
-        assert_eq!(m.means(), vec![Some(2.0), None, Some(10.0)]);
-        assert_eq!(m.means_or_zero(), vec![2.0, 0.0, 10.0]);
-    }
-
-    #[test]
-    fn max_keeps_largest() {
-        let mut m = BinnedMax::new(0.5);
-        m.record(0.1, 0.4);
-        m.record(0.3, 0.9);
-        m.record(0.6, 0.2);
-        assert_eq!(m.maxima(), vec![0.9, 0.2]);
     }
 
     #[test]

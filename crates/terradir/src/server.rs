@@ -971,19 +971,6 @@ impl ServerState {
                     p.detour_hops += 1;
                 }
                 if p.hops > TTL_HOPS {
-                    if std::env::var_os("TERRADIR_TRACE_TTL").is_some() {
-                        eprintln!(
-                            "TTL drop at {}: target={} via={} recent={:?} path={:?}",
-                            self.id,
-                            p.target,
-                            via,
-                            p.recent,
-                            p.path
-                                .iter()
-                                .map(|(n, m)| (n.0, m.entries().to_vec())) // xtask: allow(alloc): env-gated debug trace, off by default
-                                .collect::<Vec<_>>()
-                        );
-                    }
                     out.push(Outgoing::Event(ProtocolEvent::DroppedTtl {
                         id: p.id,
                         target: p.target,

@@ -156,12 +156,14 @@ pub struct RunStats {
     /// committed when the read was issued (the staleness cost of
     /// any-replica reads; quorum reads shrink it).
     pub stale_reads: u64,
-    /// Copies re-replicated by the background repair sweep.
+    /// Copies re-replicated by the background repair sweep to
+    /// under-replicated replica-set members.
     pub repair_pushes: u64,
     /// Modeled bytes of every remote message send, from the
     /// per-`Message` byte-cost model (DESIGN.md §18): queries, control
     /// traffic, storage propagation, repair-sweep probes, and gossip.
     /// Local hand-offs and substrate-synthesized feedback cost nothing.
+    /// Counted at send time, before the transport loss draw.
     pub bytes_on_wire: u64,
     /// The subset of `bytes_on_wire` spent by the anti-entropy gossip
     /// subsystem (digests at delta or full cost, pushes, pull replies).
@@ -172,7 +174,8 @@ pub struct RunStats {
     pub tenant_injected: Vec<u64>,
     /// Per-tenant queries resolved.
     pub tenant_resolved: Vec<u64>,
-    /// Per-tenant final query drops (all kinds folded).
+    /// Per-tenant final query drops (all kinds folded), attributed by
+    /// the dropped query's target node.
     pub tenant_dropped: Vec<u64>,
     /// Per-tenant sum of resolution latencies in seconds (divide by
     /// `tenant_resolved` for the mean).
@@ -502,272 +505,154 @@ impl RunStats {
     }
 }
 
-/// A flat, serializable snapshot of a run's headline numbers (JSON export
-/// for harnesses and the CLI's `--json` flag).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Summary {
-    /// Queries injected.
-    pub injected: u64,
-    /// Queries resolved.
-    pub resolved: u64,
-    /// Total dropped (queue + TTL + stuck).
-    pub dropped: u64,
-    /// Drop fraction.
-    pub drop_fraction: f64,
-    /// Mean latency in seconds (0 when nothing resolved).
-    pub latency_mean_s: f64,
-    /// 99th-percentile latency in seconds.
-    pub latency_p99_s: f64,
-    /// Mean hops per resolved query.
-    pub hops_mean: f64,
-    /// Replicas created.
-    pub replicas_created: u64,
-    /// Replicas deleted.
-    pub replicas_deleted: u64,
-    /// Replication sessions completed.
-    pub sessions_completed: u64,
-    /// Control messages sent.
-    pub control_messages: u64,
-    /// Successful data fetches.
-    pub data_fetches_ok: u64,
-    /// Query re-issues by the reliability layer.
-    pub retries: u64,
-    /// Messages lost to transport fault injection.
-    pub messages_lost: u64,
-    /// Servers failed by the churn process.
-    pub churn_failures: u64,
-    /// Servers recovered.
-    pub churn_recoveries: u64,
-    /// Queries shed by the admission policy (final drops).
-    pub dropped_shed: u64,
-    /// Queries finalized by crossing an active cut.
-    pub dropped_partition: u64,
-    /// Messages dropped for crossing an active cut.
-    pub messages_cut: u64,
-    /// Partition cuts applied.
-    pub cuts_applied: u64,
-    /// Heals applied.
-    pub heals_applied: u64,
-    /// Extra queries injected by flash crowds.
-    pub flash_injected: u64,
-    /// Stale-pointer detections (queries landing on a non-hosting server).
-    pub misroutes: u64,
-    /// Aggregate post-misroute forwarding steps over resolved queries.
-    pub detour_hops: u64,
-    /// Soft-state entries evicted by the lease sweep.
-    pub lease_evictions: u64,
-    /// Anti-entropy advertisements pushed on warm rejoin / post-heal.
-    pub reconcile_pushes: u64,
-    /// Stored objects ever written (the durability universe).
-    pub objects_written: u64,
-    /// Objects with a live copy at the latest durability scan.
-    pub objects_alive: u64,
-    /// Objects with no live copy at the latest durability scan.
-    pub objects_lost: u64,
-    /// Object writes issued by the storage write driver.
-    pub object_puts: u64,
-    /// Object reads that finalized with some copy.
-    pub object_reads: u64,
-    /// Object reads that finalized with no copy at all.
-    pub reads_failed: u64,
-    /// Object reads that returned a stale version.
-    pub stale_reads: u64,
-    /// Copies re-replicated by the background repair sweep.
-    pub repair_pushes: u64,
-    /// Modeled bytes of every remote message send (DESIGN.md §18).
-    pub bytes_on_wire: u64,
-    /// The gossip subsystem's share of `bytes_on_wire`.
-    pub gossip_bytes: u64,
-    /// Query-path messages serviced.
-    pub query_messages: u64,
-    /// Replication sessions aborted.
-    pub sessions_aborted: u64,
-    /// Data retrievals that exhausted every mapped host.
-    pub data_fetches_failed: u64,
-    /// Messages addressed to a failed server.
-    pub messages_to_dead: u64,
-    /// Attempt-level losses: request queue overflow (retry mode).
-    pub attempts_lost_queue: u64,
-    /// Attempt-level losses: hop TTL exceeded (retry mode).
-    pub attempts_lost_ttl: u64,
-    /// Attempt-level losses: no routable candidate (retry mode).
-    pub attempts_lost_stuck: u64,
-    /// Attempt-level losses: delivery to a dead server (retry mode).
-    pub attempts_lost_dead: u64,
-    /// Attempt-level losses: transport loss injection (retry mode).
-    pub attempts_lost_transport: u64,
-    /// Attempt-level losses: shed by the admission policy (retry mode).
-    pub attempts_lost_shed: u64,
-    /// Attempt-level losses: delivery crossed an active cut (retry mode).
-    pub attempts_lost_partition: u64,
-    /// Servers crashed by `CorrelatedCrash` scenario actions.
-    pub scenario_crashes: u64,
-    /// Tenants configured (0 with tenants off).
-    pub tenant_count: u64,
-    /// Worst per-tenant whole-run availability (1.0 with no tenants).
-    pub tenant_worst_availability: f64,
-    /// Tenants whose availability fell below their SLO target.
-    pub tenant_slo_misses: u64,
-    /// Total RNG draws across every tagged stream (ledger sum).
-    pub rng_draws: u64,
-    /// Allocator events charged to the run (0 without the alloc ledger).
-    pub alloc_events: u64,
-    /// Bytes requested across those allocator events.
-    pub alloc_bytes: u64,
-}
-
-impl Summary {
-    /// Renders the summary as a JSON object (hand-rolled: every field is
-    /// numeric, so no JSON library is needed).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"injected\":{},\"resolved\":{},\"dropped\":{},",
-                "\"drop_fraction\":{:.6},\"latency_mean_s\":{:.6},",
-                "\"latency_p99_s\":{:.6},\"hops_mean\":{:.4},",
-                "\"replicas_created\":{},\"replicas_deleted\":{},",
-                "\"sessions_completed\":{},\"control_messages\":{},",
-                "\"data_fetches_ok\":{},\"retries\":{},",
-                "\"messages_lost\":{},\"churn_failures\":{},",
-                "\"churn_recoveries\":{},\"dropped_shed\":{},",
-                "\"dropped_partition\":{},\"messages_cut\":{},",
-                "\"cuts_applied\":{},\"heals_applied\":{},",
-                "\"flash_injected\":{},\"misroutes\":{},",
-                "\"detour_hops\":{},\"lease_evictions\":{},",
-                "\"reconcile_pushes\":{},\"objects_written\":{},",
-                "\"objects_alive\":{},\"objects_lost\":{},",
-                "\"object_puts\":{},\"object_reads\":{},",
-                "\"reads_failed\":{},\"stale_reads\":{},",
-                "\"repair_pushes\":{},\"bytes_on_wire\":{},",
-                "\"gossip_bytes\":{},\"query_messages\":{},",
-                "\"sessions_aborted\":{},\"data_fetches_failed\":{},",
-                "\"messages_to_dead\":{},\"attempts_lost_queue\":{},",
-                "\"attempts_lost_ttl\":{},\"attempts_lost_stuck\":{},",
-                "\"attempts_lost_dead\":{},\"attempts_lost_transport\":{},",
-                "\"attempts_lost_shed\":{},\"attempts_lost_partition\":{},",
-                "\"scenario_crashes\":{},\"tenant_count\":{},",
-                "\"tenant_worst_availability\":{:.6},\"tenant_slo_misses\":{},",
-                "\"rng_draws\":{},",
-                "\"alloc_events\":{},\"alloc_bytes\":{}}}"
-            ),
-            self.injected,
-            self.resolved,
-            self.dropped,
-            self.drop_fraction,
-            self.latency_mean_s,
-            self.latency_p99_s,
-            self.hops_mean,
-            self.replicas_created,
-            self.replicas_deleted,
-            self.sessions_completed,
-            self.control_messages,
-            self.data_fetches_ok,
-            self.retries,
-            self.messages_lost,
-            self.churn_failures,
-            self.churn_recoveries,
-            self.dropped_shed,
-            self.dropped_partition,
-            self.messages_cut,
-            self.cuts_applied,
-            self.heals_applied,
-            self.flash_injected,
-            self.misroutes,
-            self.detour_hops,
-            self.lease_evictions,
-            self.reconcile_pushes,
-            self.objects_written,
-            self.objects_alive,
-            self.objects_lost,
-            self.object_puts,
-            self.object_reads,
-            self.reads_failed,
-            self.stale_reads,
-            self.repair_pushes,
-            self.bytes_on_wire,
-            self.gossip_bytes,
-            self.query_messages,
-            self.sessions_aborted,
-            self.data_fetches_failed,
-            self.messages_to_dead,
-            self.attempts_lost_queue,
-            self.attempts_lost_ttl,
-            self.attempts_lost_stuck,
-            self.attempts_lost_dead,
-            self.attempts_lost_transport,
-            self.attempts_lost_shed,
-            self.attempts_lost_partition,
-            self.scenario_crashes,
-            self.tenant_count,
-            self.tenant_worst_availability,
-            self.tenant_slo_misses,
-            self.rng_draws,
-            self.alloc_events,
-            self.alloc_bytes,
-        )
-    }
-}
-
-impl RunStats {
-    /// Builds the serializable summary.
-    pub fn summary(&self) -> Summary {
-        Summary {
-            injected: self.injected,
-            resolved: self.resolved,
-            dropped: self.dropped_total(),
-            drop_fraction: self.drop_fraction(),
-            latency_mean_s: self.latency.mean().unwrap_or(0.0),
-            latency_p99_s: self.latency.quantile(0.99).unwrap_or(0.0),
-            hops_mean: self.hops.mean().unwrap_or(0.0),
-            replicas_created: self.replicas_created,
-            replicas_deleted: self.replicas_deleted,
-            sessions_completed: self.sessions_completed,
-            control_messages: self.control_messages,
-            data_fetches_ok: self.data_fetches_ok,
-            retries: self.retries,
-            messages_lost: self.messages_lost,
-            churn_failures: self.churn_failures,
-            churn_recoveries: self.churn_recoveries,
-            dropped_shed: self.dropped_shed,
-            dropped_partition: self.dropped_partition,
-            messages_cut: self.messages_cut,
-            cuts_applied: self.cuts_applied,
-            heals_applied: self.heals_applied,
-            flash_injected: self.flash_injected,
-            misroutes: self.misroutes,
-            detour_hops: self.detour_hops,
-            lease_evictions: self.lease_evictions,
-            reconcile_pushes: self.reconcile_pushes,
-            objects_written: self.objects_written,
-            objects_alive: self.objects_alive,
-            objects_lost: self.objects_lost,
-            object_puts: self.object_puts,
-            object_reads: self.object_reads,
-            reads_failed: self.reads_failed,
-            stale_reads: self.stale_reads,
-            repair_pushes: self.repair_pushes,
-            bytes_on_wire: self.bytes_on_wire,
-            gossip_bytes: self.gossip_bytes,
-            query_messages: self.query_messages,
-            sessions_aborted: self.sessions_aborted,
-            data_fetches_failed: self.data_fetches_failed,
-            messages_to_dead: self.messages_to_dead,
-            attempts_lost_queue: self.attempts_lost_queue,
-            attempts_lost_ttl: self.attempts_lost_ttl,
-            attempts_lost_stuck: self.attempts_lost_stuck,
-            attempts_lost_dead: self.attempts_lost_dead,
-            attempts_lost_transport: self.attempts_lost_transport,
-            attempts_lost_shed: self.attempts_lost_shed,
-            attempts_lost_partition: self.attempts_lost_partition,
-            scenario_crashes: self.scenario_crashes,
-            tenant_count: self.tenant_slo.len() as u64,
-            tenant_worst_availability: self.tenant_worst_availability(),
-            tenant_slo_misses: self.tenant_slo_misses(),
-            rng_draws: self.rng_draws.iter().sum(),
-            alloc_events: self.alloc_events,
-            alloc_bytes: self.alloc_bytes,
+/// Generates [`Summary`], [`RunStats::summary`] and [`Summary::to_json`]
+/// from one table. Each row is `doc, field: type = value, json format;`,
+/// where `value` reads the `RunStats` bound to the leading identifier;
+/// rows appear in JSON key order.
+macro_rules! summary {
+    ($s:ident; $($(#[$doc:meta])* $name:ident: $ty:ty = $value:expr, $fmt:literal;)+) => {
+        /// A flat, serializable snapshot of a run's headline numbers (JSON
+        /// export for harnesses and the CLI's `--json` flag).
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct Summary {
+            $($(#[$doc])* pub $name: $ty,)+
         }
-    }
+
+        impl RunStats {
+            /// Builds the serializable summary.
+            pub fn summary(&self) -> Summary {
+                let $s = self;
+                Summary { $($name: $value,)+ }
+            }
+        }
+
+        impl Summary {
+            /// Renders the summary as a JSON object (hand-rolled: every
+            /// field is numeric, so no JSON library is needed).
+            pub fn to_json(&self) -> String {
+                let mut json = format!(
+                    concat!("{{", $("\"", stringify!($name), "\":", $fmt, ",",)+),
+                    $(self.$name,)+
+                );
+                // Every key ends in a comma; the last one closes the object.
+                json.pop();
+                json.push('}');
+                json
+            }
+        }
+    };
+}
+
+summary! {
+    s;
+    /// Queries injected.
+    injected: u64 = s.injected, "{}";
+    /// Queries resolved.
+    resolved: u64 = s.resolved, "{}";
+    /// Total final drops, every [`DropKind`] folded.
+    dropped: u64 = s.dropped_total(), "{}";
+    /// Drop fraction.
+    drop_fraction: f64 = s.drop_fraction(), "{:.6}";
+    /// Mean latency in seconds (0 when nothing resolved).
+    latency_mean_s: f64 = s.latency.mean().unwrap_or(0.0), "{:.6}";
+    /// 99th-percentile latency in seconds.
+    latency_p99_s: f64 = s.latency.quantile(0.99).unwrap_or(0.0), "{:.6}";
+    /// Mean hops per resolved query.
+    hops_mean: f64 = s.hops.mean().unwrap_or(0.0), "{:.4}";
+    /// Replicas created.
+    replicas_created: u64 = s.replicas_created, "{}";
+    /// Replicas deleted.
+    replicas_deleted: u64 = s.replicas_deleted, "{}";
+    /// Replication sessions completed.
+    sessions_completed: u64 = s.sessions_completed, "{}";
+    /// Control messages sent.
+    control_messages: u64 = s.control_messages, "{}";
+    /// Successful data fetches.
+    data_fetches_ok: u64 = s.data_fetches_ok, "{}";
+    /// Query re-issues by the reliability layer.
+    retries: u64 = s.retries, "{}";
+    /// Messages lost to transport fault injection.
+    messages_lost: u64 = s.messages_lost, "{}";
+    /// Servers failed by the churn process.
+    churn_failures: u64 = s.churn_failures, "{}";
+    /// Servers recovered.
+    churn_recoveries: u64 = s.churn_recoveries, "{}";
+    /// Queries shed by the admission policy (final drops).
+    dropped_shed: u64 = s.dropped_shed, "{}";
+    /// Queries finalized by crossing an active cut.
+    dropped_partition: u64 = s.dropped_partition, "{}";
+    /// Messages dropped for crossing an active cut.
+    messages_cut: u64 = s.messages_cut, "{}";
+    /// Partition cuts applied.
+    cuts_applied: u64 = s.cuts_applied, "{}";
+    /// Heals applied.
+    heals_applied: u64 = s.heals_applied, "{}";
+    /// Extra queries injected by flash crowds.
+    flash_injected: u64 = s.flash_injected, "{}";
+    /// Stale-pointer detections (queries landing on a non-hosting server).
+    misroutes: u64 = s.misroutes, "{}";
+    /// Aggregate post-misroute forwarding steps over resolved queries.
+    detour_hops: u64 = s.detour_hops, "{}";
+    /// Soft-state entries evicted by the lease sweep.
+    lease_evictions: u64 = s.lease_evictions, "{}";
+    /// Anti-entropy advertisements pushed on warm rejoin / post-heal.
+    reconcile_pushes: u64 = s.reconcile_pushes, "{}";
+    /// Stored objects ever written (the durability universe).
+    objects_written: u64 = s.objects_written, "{}";
+    /// Objects with a live copy at the latest durability scan.
+    objects_alive: u64 = s.objects_alive, "{}";
+    /// Objects with no live copy at the latest durability scan.
+    objects_lost: u64 = s.objects_lost, "{}";
+    /// Object writes issued by the storage write driver.
+    object_puts: u64 = s.object_puts, "{}";
+    /// Object reads that finalized with some copy.
+    object_reads: u64 = s.object_reads, "{}";
+    /// Object reads that finalized with no copy at all.
+    reads_failed: u64 = s.reads_failed, "{}";
+    /// Object reads that returned a stale version.
+    stale_reads: u64 = s.stale_reads, "{}";
+    /// Copies re-replicated by the background repair sweep.
+    repair_pushes: u64 = s.repair_pushes, "{}";
+    /// Modeled bytes of every remote message send (DESIGN.md §18).
+    bytes_on_wire: u64 = s.bytes_on_wire, "{}";
+    /// The gossip subsystem's share of `bytes_on_wire`.
+    gossip_bytes: u64 = s.gossip_bytes, "{}";
+    /// Query-path messages serviced.
+    query_messages: u64 = s.query_messages, "{}";
+    /// Replication sessions aborted.
+    sessions_aborted: u64 = s.sessions_aborted, "{}";
+    /// Data retrievals that exhausted every mapped host.
+    data_fetches_failed: u64 = s.data_fetches_failed, "{}";
+    /// Messages addressed to a failed server.
+    messages_to_dead: u64 = s.messages_to_dead, "{}";
+    /// Attempt-level losses: request queue overflow (retry mode).
+    attempts_lost_queue: u64 = s.attempts_lost_queue, "{}";
+    /// Attempt-level losses: hop TTL exceeded (retry mode).
+    attempts_lost_ttl: u64 = s.attempts_lost_ttl, "{}";
+    /// Attempt-level losses: no routable candidate (retry mode).
+    attempts_lost_stuck: u64 = s.attempts_lost_stuck, "{}";
+    /// Attempt-level losses: delivery to a dead server (retry mode).
+    attempts_lost_dead: u64 = s.attempts_lost_dead, "{}";
+    /// Attempt-level losses: transport loss injection (retry mode).
+    attempts_lost_transport: u64 = s.attempts_lost_transport, "{}";
+    /// Attempt-level losses: shed by the admission policy (retry mode).
+    attempts_lost_shed: u64 = s.attempts_lost_shed, "{}";
+    /// Attempt-level losses: delivery crossed an active cut (retry mode).
+    attempts_lost_partition: u64 = s.attempts_lost_partition, "{}";
+    /// Servers crashed by `CorrelatedCrash` scenario actions.
+    scenario_crashes: u64 = s.scenario_crashes, "{}";
+    /// Tenants configured (0 with tenants off).
+    tenant_count: u64 = s.tenant_slo.len() as u64, "{}";
+    /// Worst per-tenant whole-run availability (1.0 with no tenants).
+    tenant_worst_availability: f64 = s.tenant_worst_availability(), "{:.6}";
+    /// Tenants whose availability fell below their SLO target.
+    tenant_slo_misses: u64 = s.tenant_slo_misses(), "{}";
+    /// Total RNG draws across every tagged stream (ledger sum).
+    rng_draws: u64 = s.rng_draws.iter().sum(), "{}";
+    /// Allocator events charged to the run (0 without the alloc ledger).
+    alloc_events: u64 = s.alloc_events, "{}";
+    /// Bytes requested across those allocator events.
+    alloc_bytes: u64 = s.alloc_bytes, "{}";
 }
 
 /// Why a query was dropped.
@@ -843,6 +728,102 @@ mod tests {
         assert_eq!(sum.hops_mean, 3.0);
     }
 
+    /// Every field `summary()` reads, set to a distinct value. The golden
+    /// literal pins each key, the key order and the float precision, so a
+    /// summary JSON (and every fingerprint hashed from one) stays
+    /// comparable across commits.
+    #[test]
+    fn summary_json_matches_the_golden_literal() {
+        let mut s = RunStats::new(2);
+        s.injected = 1000;
+        s.resolved = 901;
+        s.dropped_queue = 2;
+        s.dropped_ttl = 3;
+        s.dropped_stuck = 5;
+        s.dropped_timeout = 7;
+        s.dropped_lost = 11;
+        s.dropped_shed = 13;
+        s.dropped_partition = 17;
+        s.latency.record(0.123);
+        s.latency.record(0.456);
+        s.latency.record(2.5);
+        s.hops.record(3.0);
+        s.hops.record(4.0);
+        s.hops.record(9.0);
+        s.replicas_created = 19;
+        s.replicas_deleted = 23;
+        s.sessions_completed = 29;
+        s.control_messages = 31;
+        s.data_fetches_ok = 37;
+        s.retries = 41;
+        s.messages_lost = 43;
+        s.churn_failures = 47;
+        s.churn_recoveries = 53;
+        s.messages_cut = 59;
+        s.cuts_applied = 61;
+        s.heals_applied = 67;
+        s.flash_injected = 71;
+        s.misroutes = 73;
+        s.detour_hops = 79;
+        s.lease_evictions = 83;
+        s.reconcile_pushes = 89;
+        s.objects_written = 97;
+        s.objects_alive = 101;
+        s.objects_lost = 103;
+        s.object_puts = 107;
+        s.object_reads = 109;
+        s.reads_failed = 113;
+        s.stale_reads = 127;
+        s.repair_pushes = 131;
+        s.bytes_on_wire = 137;
+        s.gossip_bytes = 139;
+        s.query_messages = 149;
+        s.sessions_aborted = 151;
+        s.data_fetches_failed = 157;
+        s.messages_to_dead = 163;
+        s.attempts_lost_queue = 167;
+        s.attempts_lost_ttl = 173;
+        s.attempts_lost_stuck = 179;
+        s.attempts_lost_dead = 181;
+        s.attempts_lost_transport = 191;
+        s.attempts_lost_shed = 193;
+        s.attempts_lost_partition = 197;
+        s.scenario_crashes = 199;
+        s.init_tenants([0.95, 0.5, 0.2].into_iter());
+        s.tenant_injected = vec![3, 7, 0];
+        s.tenant_resolved = vec![2, 3, 0];
+        s.rng_draws = vec![0, 211, 223];
+        s.alloc_events = 227;
+        s.alloc_bytes = 229;
+        assert_eq!(
+            s.summary().to_json(),
+            concat!(
+                r#"{"injected":1000,"resolved":901,"dropped":58,"#,
+                r#""drop_fraction":0.058000,"latency_mean_s":1.026333,"#,
+                r#""latency_p99_s":2.510000,"hops_mean":5.3333,"#,
+                r#""replicas_created":19,"replicas_deleted":23,"#,
+                r#""sessions_completed":29,"control_messages":31,"#,
+                r#""data_fetches_ok":37,"retries":41,"messages_lost":43,"#,
+                r#""churn_failures":47,"churn_recoveries":53,"dropped_shed":13,"#,
+                r#""dropped_partition":17,"messages_cut":59,"cuts_applied":61,"#,
+                r#""heals_applied":67,"flash_injected":71,"misroutes":73,"#,
+                r#""detour_hops":79,"lease_evictions":83,"reconcile_pushes":89,"#,
+                r#""objects_written":97,"objects_alive":101,"objects_lost":103,"#,
+                r#""object_puts":107,"object_reads":109,"reads_failed":113,"#,
+                r#""stale_reads":127,"repair_pushes":131,"bytes_on_wire":137,"#,
+                r#""gossip_bytes":139,"query_messages":149,"#,
+                r#""sessions_aborted":151,"data_fetches_failed":157,"#,
+                r#""messages_to_dead":163,"attempts_lost_queue":167,"#,
+                r#""attempts_lost_ttl":173,"attempts_lost_stuck":179,"#,
+                r#""attempts_lost_dead":181,"attempts_lost_transport":191,"#,
+                r#""attempts_lost_shed":193,"attempts_lost_partition":197,"#,
+                r#""scenario_crashes":199,"tenant_count":3,"#,
+                r#""tenant_worst_availability":0.428571,"tenant_slo_misses":2,"#,
+                r#""rng_draws":434,"alloc_events":227,"alloc_bytes":229}"#,
+            )
+        );
+    }
+
     #[test]
     fn summary_json_is_well_formed() {
         let mut s = RunStats::new(2);
@@ -854,85 +835,6 @@ mod tests {
         assert!(json.contains("\"hops_mean\":3.0000"));
         // Balanced quotes and braces (cheap well-formedness probe).
         assert_eq!(json.matches('"').count() % 2, 0);
-    }
-
-    #[test]
-    fn reliability_drop_kinds_are_decomposable() {
-        let mut s = RunStats::new(2);
-        s.injected = 5;
-        s.on_drop(0.5, DropKind::Timeout);
-        s.on_drop(0.7, DropKind::Lost);
-        s.on_drop(1.1, DropKind::Queue);
-        assert_eq!(s.dropped_timeout, 1);
-        assert_eq!(s.dropped_lost, 1);
-        assert_eq!(s.dropped_total(), 3);
-        s.on_attempt_lost(DropKind::Queue);
-        s.on_attempt_lost(DropKind::Lost);
-        s.on_attempt_dead();
-        // Attempt-level losses never enter the final-drop totals.
-        assert_eq!(s.dropped_total(), 3);
-        assert_eq!(s.attempts_lost_queue, 1);
-        assert_eq!(s.attempts_lost_transport, 1);
-        assert_eq!(s.attempts_lost_dead, 1);
-    }
-
-    #[test]
-    fn availability_series_track_injection_and_resolution() {
-        let mut s = RunStats::new(2);
-        s.injected_per_sec.record(0.2);
-        s.injected_per_sec.record(1.4);
-        s.on_resolved(1.5, 0.2, 3, false, 0);
-        assert_eq!(s.injected_per_sec.bins(), &[1, 1]);
-        assert_eq!(s.resolved_per_sec.bins(), &[0, 1]);
-    }
-
-    #[test]
-    fn chaos_drop_kinds_enter_the_totals() {
-        let mut s = RunStats::new(2);
-        s.injected = 4;
-        s.on_drop(0.5, DropKind::Shed);
-        s.on_drop(0.7, DropKind::Partition);
-        assert_eq!(s.dropped_shed, 1);
-        assert_eq!(s.dropped_partition, 1);
-        assert_eq!(s.dropped_total(), 2);
-        s.on_attempt_lost(DropKind::Shed);
-        s.on_attempt_lost(DropKind::Partition);
-        assert_eq!(s.attempts_lost_shed, 1);
-        assert_eq!(s.attempts_lost_partition, 1);
-        // Attempt-level losses never enter the final totals.
-        assert_eq!(s.dropped_total(), 2);
-    }
-
-    #[test]
-    fn availability_curve_handles_empty_and_partial_bins() {
-        let mut s = RunStats::new(2);
-        s.injected_per_sec.record(0.5);
-        s.injected_per_sec.record(0.6);
-        s.injected_per_sec.record(2.5);
-        s.on_resolved(0.9, 0.5, 3, false, 0);
-        let curve = s.availability();
-        assert_eq!(curve.len(), 3);
-        assert!((curve[0] - 0.5).abs() < 1e-12);
-        assert_eq!(curve[1], 1.0, "no injections in bin 1 reads available");
-        assert_eq!(curve[2], 0.0);
-        // Per-side series start empty: fully available by definition.
-        assert!(s.availability_minority().is_empty());
-        s.injected_per_sec_minority.record(0.5);
-        s.resolved_per_sec_minority.record(0.6);
-        assert_eq!(s.availability_minority(), vec![1.0]);
-    }
-
-    #[test]
-    fn reconvergence_curve_tracks_clean_resolutions() {
-        let mut s = RunStats::new(2);
-        s.on_resolved(0.5, 0.1, 3, true, 2);
-        s.on_resolved(0.6, 0.1, 3, false, 0);
-        s.on_resolved(1.5, 0.9, 4, false, 0);
-        assert_eq!(s.detour_hops, 2);
-        let curve = s.reconvergence();
-        assert_eq!(curve.len(), 2);
-        assert!((curve[0] - 0.5).abs() < 1e-12, "1 of 2 resolved cleanly");
-        assert_eq!(curve[1], 1.0, "all-clean bin fully reconverged");
     }
 
     #[test]
@@ -1040,6 +942,85 @@ mod tests {
         assert!(json.contains("\"alloc_events\":12"));
         assert!(json.contains("\"alloc_bytes\":4096"));
         assert_eq!(json.matches('"').count() % 2, 0);
+    }
+
+    #[test]
+    fn reliability_drop_kinds_are_decomposable() {
+        let mut s = RunStats::new(2);
+        s.injected = 5;
+        s.on_drop(0.5, DropKind::Timeout);
+        s.on_drop(0.7, DropKind::Lost);
+        s.on_drop(1.1, DropKind::Queue);
+        assert_eq!(s.dropped_timeout, 1);
+        assert_eq!(s.dropped_lost, 1);
+        assert_eq!(s.dropped_total(), 3);
+        s.on_attempt_lost(DropKind::Queue);
+        s.on_attempt_lost(DropKind::Lost);
+        s.on_attempt_dead();
+        // Attempt-level losses never enter the final-drop totals.
+        assert_eq!(s.dropped_total(), 3);
+        assert_eq!(s.attempts_lost_queue, 1);
+        assert_eq!(s.attempts_lost_transport, 1);
+        assert_eq!(s.attempts_lost_dead, 1);
+    }
+
+    #[test]
+    fn availability_series_track_injection_and_resolution() {
+        let mut s = RunStats::new(2);
+        s.injected_per_sec.record(0.2);
+        s.injected_per_sec.record(1.4);
+        s.on_resolved(1.5, 0.2, 3, false, 0);
+        assert_eq!(s.injected_per_sec.bins(), &[1, 1]);
+        assert_eq!(s.resolved_per_sec.bins(), &[0, 1]);
+    }
+
+    #[test]
+    fn chaos_drop_kinds_enter_the_totals() {
+        let mut s = RunStats::new(2);
+        s.injected = 4;
+        s.on_drop(0.5, DropKind::Shed);
+        s.on_drop(0.7, DropKind::Partition);
+        assert_eq!(s.dropped_shed, 1);
+        assert_eq!(s.dropped_partition, 1);
+        assert_eq!(s.dropped_total(), 2);
+        s.on_attempt_lost(DropKind::Shed);
+        s.on_attempt_lost(DropKind::Partition);
+        assert_eq!(s.attempts_lost_shed, 1);
+        assert_eq!(s.attempts_lost_partition, 1);
+        // Attempt-level losses never enter the final totals.
+        assert_eq!(s.dropped_total(), 2);
+    }
+
+    #[test]
+    fn availability_curve_handles_empty_and_partial_bins() {
+        let mut s = RunStats::new(2);
+        s.injected_per_sec.record(0.5);
+        s.injected_per_sec.record(0.6);
+        s.injected_per_sec.record(2.5);
+        s.on_resolved(0.9, 0.5, 3, false, 0);
+        let curve = s.availability();
+        assert_eq!(curve.len(), 3);
+        assert!((curve[0] - 0.5).abs() < 1e-12);
+        assert_eq!(curve[1], 1.0, "no injections in bin 1 reads available");
+        assert_eq!(curve[2], 0.0);
+        // Per-side series start empty: fully available by definition.
+        assert!(s.availability_minority().is_empty());
+        s.injected_per_sec_minority.record(0.5);
+        s.resolved_per_sec_minority.record(0.6);
+        assert_eq!(s.availability_minority(), vec![1.0]);
+    }
+
+    #[test]
+    fn reconvergence_curve_tracks_clean_resolutions() {
+        let mut s = RunStats::new(2);
+        s.on_resolved(0.5, 0.1, 3, true, 2);
+        s.on_resolved(0.6, 0.1, 3, false, 0);
+        s.on_resolved(1.5, 0.9, 4, false, 0);
+        assert_eq!(s.detour_hops, 2);
+        let curve = s.reconvergence();
+        assert_eq!(curve.len(), 2);
+        assert!((curve[0] - 0.5).abs() < 1e-12, "1 of 2 resolved cleanly");
+        assert_eq!(curve[1], 1.0, "all-clean bin fully reconverged");
     }
 
     #[test]

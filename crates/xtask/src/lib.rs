@@ -20,8 +20,9 @@
 //!
 //! - the original protocol-invariant checks ([`checks`]): config docs,
 //!   message handlers, drop taxonomy;
-//! - the accounting passes ([`analyze`]): counter conservation, dead
-//!   config, enum exhaustiveness, hot-path allocations (DESIGN.md §15).
+//! - the accounting passes ([`analyze`]): counter conservation (every
+//!   `RunStats` counter fed and emitted), dead config, enum
+//!   exhaustiveness, hot-path allocations (DESIGN.md §15).
 //!
 //! Source bans clippy can express (panics in library code, ambient
 //! nondeterminism, shared mutability) are not re-implemented here: they

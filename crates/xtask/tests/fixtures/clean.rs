@@ -1,7 +1,7 @@
 // Fixture: behavior code that every pass must accept — a fully
 // conserved counter, a live knob, and an exhaustively consumed enum.
 pub struct RunStats {
-    /// Fed below, mirrored in Summary, documented in the fixture table.
+    /// Fed below and read by the summary! table.
     pub injected: u64,
 }
 
@@ -9,23 +9,12 @@ impl RunStats {
     pub fn on_inject(&mut self) {
         self.injected += 1;
     }
-
-    pub fn summary(&self) -> Summary {
-        Summary {
-            injected: self.injected,
-        }
-    }
 }
 
-pub struct Summary {
+summary! {
+    s;
     /// Queries injected.
-    pub injected: u64,
-}
-
-impl Summary {
-    pub fn to_json(&self) -> String {
-        format!("{{\"injected\":{}}}", self.injected)
-    }
+    injected: u64 = s.injected, "{}";
 }
 
 pub struct Config {

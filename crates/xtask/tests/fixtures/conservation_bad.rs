@@ -1,29 +1,16 @@
-// Fixture: a miniature stats.rs with seeded conservation violations.
-// `ghost_counter` (line 9) is fed by nothing, emitted nowhere, and
-// documented nowhere; `to_json` emits a key (`injectd`, line 27) that
-// drifted from the Summary struct.
+// Fixture: a miniature stats.rs with a seeded conservation violation.
+// `ghost_counter` (line 9) is fed by nothing and read by no summary!
+// row and no harness. `injected` is fed by the fixture's writer and
+// read by the table, so it stays clean.
 pub struct RunStats {
     /// Queries injected.
     pub injected: u64,
-    /// A counter nothing feeds, nothing emits, nothing documents.
+    /// A counter nothing feeds and nothing emits.
     pub ghost_counter: u64,
 }
 
-impl RunStats {
-    pub fn summary(&self) -> Summary {
-        Summary {
-            injected: self.injected,
-        }
-    }
-}
-
-pub struct Summary {
+summary! {
+    s;
     /// Queries injected.
-    pub injected: u64,
-}
-
-impl Summary {
-    pub fn to_json(&self) -> String {
-        format!("{{\"injectd\":{}}}", self.injected)
-    }
+    injected: u64 = s.injected, "{}";
 }
