@@ -12,21 +12,22 @@
 /// | BCR    | true      | true          |
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Number of participating servers.
+    /// Number of participating servers (the paper scales 2^9–2^14).
     pub n_servers: u32,
-    /// Mean of the exponential per-message service time, seconds.
+    /// Mean of the exponential per-message service time, seconds (§4.1).
     pub mean_service: f64,
-    /// Constant application-layer network delay per hop, seconds.
+    /// Constant application-layer network delay per hop, seconds (§4.1).
     pub network_delay: f64,
-    /// Per-server request queue capacity; queries arriving beyond it drop.
+    /// Per-server request queue capacity; queries arriving beyond it drop
+    /// (§4.1).
     pub queue_capacity: usize,
-    /// Route-cache slots per server.
+    /// Route-cache slots per server (§4.5's scalability sweeps use 18–28).
     pub cache_slots: usize,
     /// Enable route caching with path propagation (the "C" in BC/BCR).
     pub caching: bool,
     /// Enable adaptive replication (the "R" in BCR).
     pub replication: bool,
-    /// Enable inverse-mapping digests (shortcuts + map pruning).
+    /// Enable inverse-mapping digests (shortcuts + map pruning, §3.6).
     pub digests: bool,
     /// Cache the whole propagated path at every step (the paper's path
     /// propagation). When disabled, only the query endpoints are cached —
@@ -35,16 +36,18 @@ pub struct Config {
     /// Apply the hysteresis load adjustment of §3.3 step 4. Disabling it
     /// is the ablation for replica thrashing.
     pub hysteresis: bool,
-    /// Load-metric window W, seconds ("e.g. half a second").
+    /// Load-metric window W, seconds ("e.g. half a second", §3.1).
     pub load_window: f64,
-    /// High-water load threshold T_high triggering replication sessions.
+    /// High-water load threshold T_high triggering replication sessions
+    /// (§3.3).
     pub t_high: f64,
-    /// Minimum load gap δ_min for a destination to accept replicas.
+    /// Minimum load gap δ_min for a destination to accept replicas (§3.3).
     pub delta_min: f64,
     /// Replication factor R_fact: max replicas hosted per server relative
-    /// to the number of owned nodes.
+    /// to the number of owned nodes (§3.2, §4.4).
     pub r_fact: f64,
-    /// Maximum node-map size R_map (entries per map, stored and shipped).
+    /// Maximum node-map size R_map (entries per map, stored and shipped;
+    /// §3.4, §4.5).
     pub r_map: usize,
     /// Replicas whose decayed weight falls below this are eligible for idle
     /// eviction at maintenance time.
@@ -61,7 +64,8 @@ pub struct Config {
     pub static_top_levels: u16,
     /// Replicas installed per statically replicated node.
     pub static_replicas_per_node: usize,
-    /// Transport fault injection: message loss and latency jitter.
+    /// Transport fault injection: message loss and latency jitter
+    /// (DESIGN.md §12).
     pub faults: FaultConfig,
     /// Source-side query reliability: timeout, backoff, bounded retries.
     pub retry: RetryConfig,
@@ -147,7 +151,8 @@ pub struct RetryConfig {
     /// Negative caching — evicting hosts observed dead from maps, cache
     /// and digests — is on exactly when this is.
     pub enabled: bool,
-    /// Total attempts per query including the first (≥ 1).
+    /// Total attempts per query including the first (≥ 1); the last
+    /// unanswered attempt ends in a `Timeout` drop.
     pub max_attempts: u32,
     /// Timeout of the first attempt, seconds; attempt `k` waits
     /// `base_timeout · 2^(k-1)`, capped at `cap`.
@@ -178,12 +183,15 @@ pub struct ChurnConfig {
     pub start: f64,
     /// No *new* failures occur at or after this time (recoveries still do).
     pub stop: f64,
-    /// Mean up-time between a server's recoveries and its next failure.
+    /// Mean up-time between a server's recoveries and its next failure,
+    /// seconds.
     pub mean_uptime: f64,
-    /// Mean down-time between a server's failure and its recovery.
+    /// Mean down-time between a server's failure and its recovery,
+    /// seconds.
     pub mean_downtime: f64,
-    /// A failure is suppressed when it would push the failed fraction of
-    /// the fleet above this bound (keeps churn runs live).
+    /// A failure is deferred (the server draws a fresh up-time) when it
+    /// would push the failed fraction of the fleet above this bound (keeps
+    /// churn runs live).
     pub max_down_fraction: f64,
 }
 
@@ -247,7 +255,8 @@ pub struct CutWindow {
 /// zero RNG draws.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeaseConfig {
-    /// Master switch for lease stamping and the lazy sweep.
+    /// Master switch for the lazy sweep, `refresh_on_use` and `misroute`.
+    /// Lease stamping itself is unconditional bookkeeping.
     pub enabled: bool,
     /// Seconds a lease survives without refresh before the sweep may
     /// evict the entry. `0` is legal and means "evict anything not
@@ -331,9 +340,10 @@ pub struct StorageConfig {
     /// (subtree-affine placement) instead of consecutive server ids.
     pub subtree_affinity: bool,
     /// Mean object writes per simulated second (Poisson, exponential
-    /// gaps from the fault RNG stream).
+    /// gaps from the fault RNG stream); `0` means no writes.
     pub write_rate: f64,
-    /// Mean object reads per simulated second.
+    /// Mean object reads per simulated second (Poisson); `0` means no
+    /// reads.
     pub read_rate: f64,
     /// Seconds a read session waits for replica replies before
     /// finalizing with whatever arrived.
@@ -424,7 +434,8 @@ pub struct GossipConfig {
     /// Seconds between gossip rounds (each round every live server
     /// gossips once).
     pub interval: f64,
-    /// Distinct namespace-neighbor peers contacted per server per round.
+    /// Distinct namespace-neighbor peers contacted per server per round
+    /// (a recovery burst contacts the whole candidate pool instead).
     pub fanout: u32,
     /// Bounds both the digest's recent-change window (delta entries
     /// kept before falling back to a full digest) and the entries
@@ -521,7 +532,8 @@ pub struct TenantSpec {
     /// `0` draws destinations uniformly over the tenant's nodes.
     pub zipf_theta: f64,
     /// Availability SLO: the tenant's resolved/injected fraction the
-    /// operator promises, reported against in `Summary::to_json`.
+    /// operator promises, scored as `tenant_slo_misses` in
+    /// `Summary::to_json`.
     pub slo_availability: f64,
 }
 

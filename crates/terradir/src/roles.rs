@@ -73,6 +73,8 @@ impl RoleMap {
     /// `edge_allow`; pairs naming non-region-root nodes are ignored.
     /// Keepers pin the regions containing their owned nodes regardless
     /// of `owned_admission`.
+    // An unassigned fleet class has no placement policy and silently degrades to an edge.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn build(
         ns: &Namespace,
         assignment: &OwnerAssignment,
@@ -117,10 +119,11 @@ impl RoleMap {
         // xtask: allow(alloc): role-map construction, runs once per system
         let mut pinned = vec![false; n * n_regions];
         for s in 0..n {
-            let c = class.get(s).copied().unwrap_or(ServerClass::Edge);
-            if c == ServerClass::Relay {
-                continue; // relays admit everything; bitmap unused
-            }
+            let pins = match class.get(s).copied().unwrap_or(ServerClass::Edge) {
+                ServerClass::Relay => continue, // relays admit everything; bitmap unused
+                ServerClass::Edge => false,
+                ServerClass::Keeper => true,
+            };
             for &node in assignment.owned_by(ServerId(s as u32)) {
                 let Some(&r) = region_of.get(node.index()) else {
                     continue;
@@ -134,7 +137,7 @@ impl RoleMap {
                         *slot = true;
                     }
                 }
-                if c == ServerClass::Keeper {
+                if pins {
                     if let Some(slot) = pinned.get_mut(idx) {
                         *slot = true;
                     }
@@ -171,6 +174,17 @@ impl RoleMap {
             .unwrap_or(ServerClass::Edge)
     }
 
+    /// Is server `s` a relay (admits every region, talks to everyone)?
+    // An unassigned fleet class has no placement policy and silently degrades to an edge.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    #[inline]
+    pub fn is_relay(&self, s: ServerId) -> bool {
+        match self.class_of(s) {
+            ServerClass::Relay => true,
+            ServerClass::Edge | ServerClass::Keeper => false,
+        }
+    }
+
     /// May server `s` hold replicas / stored objects for `node`?
     ///
     /// Relays admit everything; spine nodes are admitted by everyone
@@ -178,7 +192,7 @@ impl RoleMap {
     /// bitmap decides.
     #[inline]
     pub fn admits(&self, s: ServerId, node: NodeId) -> bool {
-        if self.class_of(s) == ServerClass::Relay {
+        if self.is_relay(s) {
             return true;
         }
         let Some(&r) = self.region_of.get(node.index()) else {
@@ -235,7 +249,7 @@ impl RoleMap {
     /// foreign region would only advertise payloads the peer refuses
     /// anyway (DESIGN.md §19).
     pub fn gossip_compatible(&self, a: ServerId, b: ServerId) -> bool {
-        if self.class_of(a) == ServerClass::Relay || self.class_of(b) == ServerClass::Relay {
+        if self.is_relay(a) || self.is_relay(b) {
             return true;
         }
         self.region_roots

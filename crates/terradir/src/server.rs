@@ -68,7 +68,9 @@ pub const PATH_CAP: usize = 32;
 
 /// Hop TTL: a query that has taken more hops than this is dropped. It
 /// guards against routing loops built from stale soft state; a resolvable
-/// query in a connected namespace needs far fewer hops.
+/// query in a connected namespace needs far fewer hops. Queue shedding
+/// (DESIGN.md §13) and `invariants::check_incremental_progress` (§11)
+/// read it too.
 pub const TTL_HOPS: u32 = 64;
 
 /// Seconds a negative-cache entry ("host observed dead", DESIGN.md §12) is
@@ -510,6 +512,8 @@ impl ServerState {
     }
 
     /// Main entry point: process one message, pushing effects into `out`.
+    // An unhandled protocol message silently vanishes.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn handle_message(
         &mut self,
         now: f64,
@@ -857,6 +861,8 @@ impl ServerState {
     }
 
     /// Routing step for an incoming query.
+    // An unacted route choice drops the query; an unhandled query kind cannot resolve.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn on_query(
         &mut self,
         now: f64,
@@ -931,14 +937,14 @@ impl ServerState {
                 // List queries also return the children with the maps from
                 // our routing context (hosting the node guarantees one per
                 // child).
-                let children: Vec<(NodeId, NodeMap)> = if p.kind == QueryKind::List {
-                    self.ns
+                let children: Vec<(NodeId, NodeMap)> = match p.kind {
+                    QueryKind::Lookup => Vec::new(),
+                    QueryKind::List => self
+                        .ns
                         .children(p.target)
                         .iter()
                         .filter_map(|&c| self.neighbor_maps.get(&c).map(|m| (c, m.clone()))) // xtask: allow(alloc): List result owns its child maps
-                        .collect()
-                } else {
-                    Vec::new()
+                        .collect(),
                 };
                 p.push_path(p.target, map, PATH_CAP);
                 out.push(Outgoing::Send {

@@ -283,6 +283,8 @@ impl QueryStream {
 
     /// Draws the next query issued at simulation time `now`: a uniformly
     /// random source server and a destination node per the active segment.
+    // An unsampled destination mode yields no workload.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn next_query(&mut self, now: f64) -> (ServerId, NodeId) {
         if self.tenant_mix.is_some() {
             let src = ServerId(self.src_rng.gen_range(0..self.n_servers));

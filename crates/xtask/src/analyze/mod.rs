@@ -1,25 +1,23 @@
 //! The `cargo xtask analyze` driver: wires every pass to the workspace.
 //!
-//! Five passes run as one suite (`lint` and `analyze` are synonyms —
+//! Three passes run as one suite (`lint` and `analyze` are synonyms —
 //! CI gates on the union), **cheapest first** so a dirty tree fails in
 //! milliseconds instead of waiting out the expensive scans. Measured on
 //! this workspace (see `--timings`; debug build, 2-core x86-64 Linux):
-//! exhaustive ≈ 22 ms, config-docs ≈ 40 ms, hotpath ≈ 55 ms,
-//! conservation ≈ 250 ms, dead-config ≈ 2.2 s.
+//! hotpath ≈ 50–80 ms, conservation ≈ 190–230 ms, dead-config ≈ 2.0 s.
 //!
-//! 1. enum exhaustiveness ([`exhaustive`]) — generalizes and subsumes
-//!    the original message-handler and drop-taxonomy checks,
-//! 2. config docs ↔ DESIGN.md, both ways: every field documented
-//!    ([`crate::checks::check_struct_docs`]) and every §10 row naming a
-//!    live field ([`crate::checks::check_design_rows`]),
-//! 3. hot-path allocation discipline ([`hotpath`]),
-//! 4. counter conservation: every `RunStats` counter fed by behavior
+//! 1. hot-path allocation discipline ([`hotpath`]),
+//! 2. counter conservation: every `RunStats` counter fed by behavior
 //!    code and emitted by a `summary!` row or a harness ([`conservation`]),
-//! 5. dead config ([`dead_config`]).
+//! 3. dead config ([`dead_config`]).
 //!
-//! The source bans that clippy can express — panic-free library code,
-//! ambient nondeterminism, shared mutability — live in the workspace
-//! lints and the root `clippy.toml` instead (DESIGN.md §15).
+//! What the toolchain can check lives there instead (DESIGN.md §15):
+//! panic-free library code, ambient nondeterminism and shared
+//! mutability in the workspace lints and the root `clippy.toml`; enum
+//! exhaustiveness in rustc's match checking plus a fn-level
+//! `#[deny(clippy::wildcard_enum_match_arm)]` on each protocol-enum
+//! consumer; the configuration reference in the `Config` rustdoc, which
+//! `#![warn(missing_docs)]` keeps complete.
 //!
 //! Every pass is timed; `cargo xtask analyze --timings` prints the
 //! per-pass wall clock so CI output shows which pass is slow as the
@@ -29,13 +27,13 @@
 
 pub mod conservation;
 pub mod dead_config;
-pub mod exhaustive;
 pub mod hotpath;
 
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use crate::checks::{self, Violation};
+use crate::checks::Violation;
+use crate::lexer::{out_of_line_test_modules, scrub};
 use crate::{load_sources, read};
 
 /// Everything one suite run produced.
@@ -78,7 +76,7 @@ fn non_test_sources(
         let files = load_sources(root, &dir, io_errors);
         let mut test_stems: Vec<String> = Vec::new();
         for (_, src) in &files {
-            test_stems.extend(checks::test_module_files(src));
+            test_stems.extend(out_of_line_test_modules(&scrub(src)));
         }
         for (label, src) in files {
             let stem = Path::new(&label)
@@ -100,48 +98,7 @@ fn non_test_sources(
 pub fn run(root: &Path) -> Report {
     let mut report = Report::default();
 
-    // Pass 1: enum exhaustiveness (subsumes the original message-handler
-    // and drop-taxonomy checks via the Message and DropKind rules).
-    let t = Instant::now();
-    let mut vs = Vec::new();
-    for rule in exhaustive::ENUM_RULES {
-        match read(root, rule.def_file) {
-            Ok(def) => {
-                let mut consumers = Vec::new();
-                for rel in rule.use_files {
-                    match read(root, rel) {
-                        Ok(src) => consumers.push(((*rel).to_string(), src)),
-                        Err(e) => report.io_errors.push(e),
-                    }
-                }
-                vs.extend(exhaustive::check_enum_rule(rule, &def, &consumers));
-            }
-            Err(e) => report.io_errors.push(e),
-        }
-    }
-    report.record("exhaustive", vs, t);
-
-    // Pass 2: config docs ↔ DESIGN.md.
-    let t = Instant::now();
-    let mut vs = Vec::new();
-    match (
-        read(root, "crates/terradir/src/config.rs"),
-        read(root, "DESIGN.md"),
-    ) {
-        (Ok(config), Ok(design)) => {
-            for name in dead_config::CONFIG_STRUCTS {
-                vs.extend(checks::check_struct_docs(&config, &design, name));
-            }
-            vs.extend(checks::check_design_rows(&config, &design));
-        }
-        (a, b) => {
-            report.io_errors.extend(a.err());
-            report.io_errors.extend(b.err());
-        }
-    }
-    report.record("config-docs", vs, t);
-
-    // Pass 3: hot-path allocation discipline.
+    // Pass 1: hot-path allocation discipline.
     let t = Instant::now();
     let mut vs = Vec::new();
     for rel in hotpath::HOT_PATH_FILES {
@@ -152,7 +109,7 @@ pub fn run(root: &Path) -> Report {
     }
     report.record("hotpath", vs, t);
 
-    // Pass 4: counter conservation.
+    // Pass 2: counter conservation.
     let t = Instant::now();
     let mut vs = Vec::new();
     let stats_label = "crates/terradir/src/stats.rs";
@@ -173,7 +130,7 @@ pub fn run(root: &Path) -> Report {
     }
     report.record("conservation", vs, t);
 
-    // Pass 5: dead config (the expensive one — a full cross-reference
+    // Pass 3: dead config (the expensive one — a full cross-reference
     // of every knob against every reader — so it runs last).
     let t = Instant::now();
     let mut vs = Vec::new();

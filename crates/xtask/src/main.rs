@@ -9,7 +9,7 @@
 
 //! Repository auditor CLI: `cargo xtask lint` / `cargo xtask analyze`.
 //!
-//! Both subcommands run the full five-pass static-analysis suite (see
+//! Both subcommands run the full three-pass static-analysis suite (see
 //! `xtask::analyze` and DESIGN.md §15–16). Exit status is 0 when clean,
 //! 1 otherwise, so CI can gate on it. `--timings` prints per-pass wall
 //! time so CI output shows which pass is slow as the suite grows.

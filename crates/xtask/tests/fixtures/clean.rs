@@ -1,5 +1,5 @@
 // Fixture: behavior code that every pass must accept — a fully
-// conserved counter, a live knob, and an exhaustively consumed enum.
+// conserved counter and a live knob.
 pub struct RunStats {
     /// Fed below and read by the summary! table.
     pub injected: u64,
@@ -22,17 +22,9 @@ pub struct Config {
     pub live_knob: bool,
 }
 
-enum Event {
-    Inject,
-    Deliver,
-}
-
-pub fn drive(cfg: &Config, st: &mut RunStats, e: Event) -> &'static str {
+pub fn drive(cfg: &Config, st: &mut RunStats) -> &'static str {
     if cfg.live_knob {
-        match e {
-            Event::Inject => st.on_inject(),
-            Event::Deliver => {}
-        }
+        st.on_inject();
     }
     "HashMap::new in a string is fine"
 }

@@ -249,14 +249,12 @@ fn shed_and_overflow_drops_never_mix() {
     }
 }
 
-/// Every [`DropKind`] variant is accounted: the exhaustive match breaks
-/// this test at compile time when a variant is added, and the xtask
-/// audit (`check_drop_kind_accounting`) requires each variant to be
-/// named here, so the accounting identity can never silently lose a
-/// drop class. Variants covered: DropKind::Queue, DropKind::Ttl,
-/// DropKind::Stuck, DropKind::Timeout, DropKind::Lost, DropKind::Shed,
-/// DropKind::Partition.
+/// Every [`DropKind`] variant is accounted: the wildcard-free match
+/// breaks this test at compile time when a variant is added, so the
+/// accounting identity can never silently lose a drop class.
 #[test]
+// A drop class absent from this test can fall out of the accounting identity.
+#[deny(clippy::wildcard_enum_match_arm)]
 fn drop_taxonomy_is_fully_accounted() {
     use terradir_repro::protocol::stats::RunStats;
     let kinds = [
